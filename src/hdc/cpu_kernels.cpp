@@ -1,10 +1,12 @@
 #include "hdc/cpu_kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "util/fixed_point.hpp"
 
@@ -186,6 +188,42 @@ void bitsliced_add_scalar(std::uint64_t* planes, std::size_t words, std::size_t 
       a = t;
     }
   }
+}
+
+// MSB-first bit-sliced comparison of each dimension's count (plane-major,
+// planes[p * words + w]) against the constant adds/2: gt accumulates strict
+// greater-than, eq tracks exact equality; ties (only reachable when the add
+// count is even) take the corresponding tie_bits bit.
+void majority_planes(const std::uint64_t* planes, std::size_t words, std::size_t plane_count,
+                     std::uint64_t adds, const std::uint64_t* tie_bits,
+                     std::uint64_t* out) noexcept {
+  const std::uint64_t half = adds / 2;
+  const bool even = (adds % 2) == 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t gt = 0;
+    std::uint64_t eq = ~0ULL;
+    for (std::size_t p = plane_count; p-- > 0;) {
+      const std::uint64_t a = planes[p * words + w];
+      const std::uint64_t h = ((half >> p) & 1ULL) ? ~0ULL : 0ULL;
+      gt |= eq & a & ~h;
+      eq &= ~(a ^ h);
+    }
+    out[w] = gt | (even ? (eq & tie_bits[w]) : 0ULL);
+  }
+}
+
+// Plane-major encode reference: bind each peak into a scratch word array and
+// ripple it through heap-allocated counter planes, then threshold once.
+void encode_majority_scalar(const bind_rows* peaks, std::size_t n, std::size_t words,
+                            const std::uint64_t* tie_bits, std::uint64_t* out) {
+  const auto planes = static_cast<std::size_t>(std::bit_width(n));
+  std::vector<std::uint64_t> acc(planes * words, 0);
+  std::vector<std::uint64_t> bound(words);
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t w = 0; w < words; ++w) bound[w] = peaks[p].id[w] ^ peaks[p].level[w];
+    bitsliced_add_scalar(acc.data(), words, planes, bound.data());
+  }
+  majority_planes(acc.data(), words, planes, n, tie_bits, out);
 }
 
 #if SPECHD_X86_KERNELS
@@ -611,6 +649,91 @@ __attribute__((target("avx2"))) void bitsliced_add_avx2(std::uint64_t* planes,
       carry &= a;
       a = t;
     }
+  }
+}
+
+__attribute__((target("avx2"))) inline __m256i maskload_avx2(const std::uint64_t* src,
+                                                              __m256i live) {
+  return _mm256_maskload_epi64(reinterpret_cast<const long long*>(src), live);
+}
+
+// Words [w, w + 4) of one peak's bound vector ID ^ Level.
+__attribute__((target("avx2"))) inline __m256i bound_avx2(const bind_rows& peak, std::size_t w,
+                                                          __m256i live) {
+  return _mm256_xor_si256(maskload_avx2(peak.id + w, live), maskload_avx2(peak.level + w, live));
+}
+
+// Full adder over three bit planes: a becomes a ^ b ^ c, the majority is
+// returned as the carry.
+__attribute__((target("avx2"))) inline __m256i full_add_avx2(__m256i& a, __m256i b,
+                                                             __m256i c) {
+  const __m256i ab = _mm256_xor_si256(a, b);
+  const __m256i carry = _mm256_or_si256(_mm256_and_si256(a, b), _mm256_and_si256(ab, c));
+  a = _mm256_xor_si256(ab, c);
+  return carry;
+}
+
+// Adds `carry` (weight 2^from) into planes [from, P) with a half-adder ripple.
+template <std::size_t P>
+__attribute__((target("avx2"))) inline void ripple_avx2(__m256i (&plane)[P], __m256i carry,
+                                                        std::size_t from) {
+#pragma GCC unroll 16
+  for (std::size_t k = from; k < P; ++k) {
+    const __m256i next = _mm256_and_si256(plane[k], carry);
+    plane[k] = _mm256_xor_si256(plane[k], carry);
+    carry = next;
+  }
+}
+
+// Register-resident encode, AVX2: the bit_width(n) = P counter planes of one
+// 4-word group live in ymm registers while every peak's bound slice is
+// added into them; the group is thresholded with majority_planes' MSB-first
+// rule and stored once. Four peaks are added per step: two full adders fold
+// them into plane 0, a third folds the two weight-2 carries into plane 1,
+// and only the weight-4 carry ripples through the upper planes. The ragged
+// last group of a dim that is not a multiple of 256 uses masked loads and
+// stores.
+template <std::size_t P>
+__attribute__((target("avx2"))) void encode_majority_avx2_planes(
+    const bind_rows* peaks, std::size_t n, std::size_t words, const std::uint64_t* tie_bits,
+    std::uint64_t* out) noexcept {
+  const std::uint64_t half = n / 2;
+  const __m256i lanes = _mm256_setr_epi64x(0, 1, 2, 3);
+  for (std::size_t w = 0; w < words; w += 4) {
+    const __m256i live =
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(words - w)), lanes);
+    __m256i plane[P];
+#pragma GCC unroll 16
+    for (std::size_t k = 0; k < P; ++k) plane[k] = _mm256_setzero_si256();
+    std::size_t p = 0;
+    if constexpr (P >= 3) {  // a four-peak step needs n >= 4, so P >= 3
+      for (; p + 4 <= n; p += 4) {
+        const __m256i c0 = full_add_avx2(plane[0], bound_avx2(peaks[p], w, live),
+                                         bound_avx2(peaks[p + 1], w, live));
+        const __m256i c1 = full_add_avx2(plane[0], bound_avx2(peaks[p + 2], w, live),
+                                         bound_avx2(peaks[p + 3], w, live));
+        ripple_avx2(plane, full_add_avx2(plane[1], c0, c1), 2);
+      }
+    }
+    for (; p < n; ++p) ripple_avx2(plane, bound_avx2(peaks[p], w, live), 0);
+
+    __m256i gt = _mm256_setzero_si256();
+    __m256i eq = _mm256_set1_epi64x(-1);
+#pragma GCC unroll 16
+    for (std::size_t i = 0; i < P; ++i) {
+      const std::size_t k = P - 1 - i;  // MSB first
+      if ((half >> k) & 1ULL) {
+        eq = _mm256_and_si256(eq, plane[k]);
+      } else {
+        const __m256i above = _mm256_and_si256(eq, plane[k]);
+        gt = _mm256_or_si256(gt, above);
+        eq = _mm256_xor_si256(eq, above);
+      }
+    }
+    if (n % 2 == 0) {
+      gt = _mm256_or_si256(gt, _mm256_and_si256(eq, maskload_avx2(tie_bits + w, live)));
+    }
+    _mm256_maskstore_epi64(reinterpret_cast<long long*>(out + w), live, gt);
   }
 }
 
@@ -1085,6 +1208,119 @@ __attribute__((target("avx512f"))) void lance_williams_row_update_f32_avx512(
   }
 }
 
+// Words [w, w + 8) of one peak's bound vector ID ^ Level.
+__attribute__((target("avx512f"))) inline __m512i bound_avx512(const bind_rows& peak,
+                                                               std::size_t w, __mmask8 live) {
+  return _mm512_xor_si512(_mm512_maskz_loadu_epi64(live, peak.id + w),
+                          _mm512_maskz_loadu_epi64(live, peak.level + w));
+}
+
+// Full adder (VPTERNLOG): a becomes a ^ b ^ c, the majority is returned.
+__attribute__((target("avx512f"))) inline __m512i full_add_avx512(__m512i& a, __m512i b,
+                                                                  __m512i c) {
+  const __m512i carry = _mm512_ternarylogic_epi64(a, b, c, 0xE8);
+  a = _mm512_ternarylogic_epi64(a, b, c, 0x96);
+  return carry;
+}
+
+template <std::size_t P>
+__attribute__((target("avx512f"))) inline void ripple_avx512(__m512i (&plane)[P],
+                                                             __m512i carry, std::size_t from) {
+#pragma GCC unroll 16
+  for (std::size_t k = from; k < P; ++k) {
+    const __m512i next = _mm512_and_si512(plane[k], carry);
+    plane[k] = _mm512_xor_si512(plane[k], carry);
+    carry = next;
+  }
+}
+
+// Register-resident encode, AVX-512: encode_majority_avx2_planes over 8-word
+// groups. With 64-byte-aligned rows of a dim that is a multiple of 512 every
+// slice is one cache line; masked loads and stores cover the ragged last
+// group at no cost to the full ones.
+template <std::size_t P>
+__attribute__((target("avx512f"))) void encode_majority_avx512_planes(
+    const bind_rows* peaks, std::size_t n, std::size_t words, const std::uint64_t* tie_bits,
+    std::uint64_t* out) noexcept {
+  const std::uint64_t half = n / 2;
+  for (std::size_t w = 0; w < words; w += 8) {
+    const auto live = static_cast<__mmask8>(words - w >= 8 ? 0xFF : (1U << (words - w)) - 1);
+    __m512i plane[P];
+#pragma GCC unroll 16
+    for (std::size_t k = 0; k < P; ++k) plane[k] = _mm512_setzero_si512();
+    std::size_t p = 0;
+    if constexpr (P >= 3) {  // a four-peak step needs n >= 4, so P >= 3
+      for (; p + 4 <= n; p += 4) {
+        const __m512i c0 = full_add_avx512(plane[0], bound_avx512(peaks[p], w, live),
+                                           bound_avx512(peaks[p + 1], w, live));
+        const __m512i c1 = full_add_avx512(plane[0], bound_avx512(peaks[p + 2], w, live),
+                                           bound_avx512(peaks[p + 3], w, live));
+        ripple_avx512(plane, full_add_avx512(plane[1], c0, c1), 2);
+      }
+    }
+    for (; p < n; ++p) ripple_avx512(plane, bound_avx512(peaks[p], w, live), 0);
+
+    __m512i gt = _mm512_setzero_si512();
+    __m512i eq = _mm512_set1_epi64(-1);
+#pragma GCC unroll 16
+    for (std::size_t i = 0; i < P; ++i) {
+      const std::size_t k = P - 1 - i;  // MSB first
+      if ((half >> k) & 1ULL) {
+        eq = _mm512_and_si512(eq, plane[k]);
+      } else {
+        const __m512i above = _mm512_and_si512(eq, plane[k]);
+        gt = _mm512_or_si512(gt, above);
+        eq = _mm512_xor_si512(eq, above);
+      }
+    }
+    if (n % 2 == 0) {
+      const __m512i tie = _mm512_maskz_loadu_epi64(live, tie_bits + w);
+      gt = _mm512_or_si512(gt, _mm512_and_si512(eq, tie));
+    }
+    _mm512_mask_storeu_epi64(out + w, live, gt);
+  }
+}
+
+using encode_planes_fn = void (*)(const bind_rows*, std::size_t, std::size_t,
+                                  const std::uint64_t*, std::uint64_t*) noexcept;
+
+// Runs by_planes[P - 1] for P = bit_width(n); the empty spectrum and peak
+// counts past the register budget take the scalar reference.
+void encode_by_planes(const std::array<encode_planes_fn, encode_register_planes>& by_planes,
+                      const bind_rows* peaks, std::size_t n, std::size_t words,
+                      const std::uint64_t* tie_bits, std::uint64_t* out) {
+  const auto planes = static_cast<std::size_t>(std::bit_width(n));
+  if (planes == 0 || planes > encode_register_planes) {
+    encode_majority_scalar(peaks, n, words, tie_bits, out);
+    return;
+  }
+  // The ID table does not fit in L2: touch every row's cache lines up front
+  // so the scattered reads overlap instead of stalling the adds one peak at
+  // a time.
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t w = 0; w < words; w += 8) {
+      _mm_prefetch(reinterpret_cast<const char*>(peaks[p].id + w), _MM_HINT_T0);
+    }
+  }
+  by_planes[planes - 1](peaks, n, words, tie_bits, out);
+}
+
+void encode_majority_avx2(const bind_rows* peaks, std::size_t n, std::size_t words,
+                          const std::uint64_t* tie_bits, std::uint64_t* out) {
+  static constexpr auto by_planes = []<std::size_t... I>(std::index_sequence<I...>) {
+    return std::array<encode_planes_fn, sizeof...(I)>{&encode_majority_avx2_planes<I + 1>...};
+  }(std::make_index_sequence<encode_register_planes>{});
+  encode_by_planes(by_planes, peaks, n, words, tie_bits, out);
+}
+
+void encode_majority_avx512(const bind_rows* peaks, std::size_t n, std::size_t words,
+                            const std::uint64_t* tie_bits, std::uint64_t* out) {
+  static constexpr auto by_planes = []<std::size_t... I>(std::index_sequence<I...>) {
+    return std::array<encode_planes_fn, sizeof...(I)>{&encode_majority_avx512_planes<I + 1>...};
+  }(std::make_index_sequence<encode_register_planes>{});
+  encode_by_planes(by_planes, peaks, n, words, tie_bits, out);
+}
+
 #endif  // SPECHD_X86_KERNELS
 
 // ---------------------------------------------------------------------------
@@ -1103,6 +1339,8 @@ struct kernel_table {
                           select_entry*) noexcept;
   void (*bitsliced_add)(std::uint64_t*, std::size_t, std::size_t,
                         const std::uint64_t*) noexcept;
+  void (*encode_majority)(const bind_rows*, std::size_t, std::size_t, const std::uint64_t*,
+                          std::uint64_t*);
   row_min (*nearest_active_scan)(const double*, const std::uint8_t*,
                                  std::size_t) noexcept;
   void (*lw_row_update)(double*, const double*, const std::uint8_t*, const double*,
@@ -1119,6 +1357,7 @@ constexpr kernel_table scalar_table{popcount_scalar,
                                     hamming_tile_packed_scalar,
                                     k_select_scalar,
                                     bitsliced_add_scalar,
+                                    encode_majority_scalar,
                                     nearest_active_scan_scalar,
                                     lance_williams_row_update_scalar,
                                     nearest_active_scan_f32_scalar,
@@ -1132,6 +1371,7 @@ kernel_table table_for(variant v) noexcept {
               hamming_tile_avx2,       hamming_tile_packed_avx2,
               k_select_avx2,
               bitsliced_add_avx2,
+              encode_majority_avx2,
               nearest_active_scan_avx2, lance_williams_row_update_avx2,
               nearest_active_scan_f32_avx2, lance_williams_row_update_f32_avx2};
     case variant::avx512:
@@ -1141,6 +1381,7 @@ kernel_table table_for(variant v) noexcept {
               hamming_tile_avx512,      hamming_tile_packed_avx512,
               k_select_avx512,
               bitsliced_add_avx2,
+              encode_majority_avx512,
               nearest_active_scan_avx512, lance_williams_row_update_avx512,
               nearest_active_scan_f32_avx512, lance_williams_row_update_f32_avx512};
     case variant::scalar:
@@ -1262,6 +1503,11 @@ void lance_williams_row_update(float* keep_row, const float* gone_row,
   state().table.lw_row_update_f32(keep_row, gone_row, active, sizes, n, u);
 }
 
+void encode_majority(const bind_rows* peaks, std::size_t n, std::size_t words,
+                     const std::uint64_t* tie_bits, std::uint64_t* out) {
+  state().table.encode_majority(peaks, n, words, tie_bits, out);
+}
+
 // ---------------------------------------------------------------------------
 // bitsliced_accumulator
 // ---------------------------------------------------------------------------
@@ -1276,10 +1522,6 @@ void bitsliced_accumulator::ensure_planes(std::size_t planes) {
   if (plane_count() < planes) planes_.resize(planes * words_, 0);
 }
 
-void bitsliced_accumulator::reserve_adds(std::uint64_t adds) {
-  if (adds > 0) ensure_planes(static_cast<std::size_t>(std::bit_width(adds)));
-}
-
 void bitsliced_accumulator::add(const std::uint64_t* bits) {
   SPECHD_EXPECTS(words_ > 0);
   ++adds_;
@@ -1289,24 +1531,7 @@ void bitsliced_accumulator::add(const std::uint64_t* bits) {
 
 void bitsliced_accumulator::majority(const std::uint64_t* tie_bits,
                                      std::uint64_t* out) const {
-  const std::uint64_t half = adds_ / 2;
-  const bool even = (adds_ % 2) == 0;
-  const std::size_t planes = plane_count();
-  // MSB-first bit-sliced comparison of each dimension's count against the
-  // constant `half`: gt accumulates strict greater-than, eq tracks exact
-  // equality; ties (only reachable when the add count is even) take the
-  // corresponding tie_bits bit, matching the scalar reference exactly.
-  for (std::size_t w = 0; w < words_; ++w) {
-    std::uint64_t gt = 0;
-    std::uint64_t eq = ~0ULL;
-    for (std::size_t p = planes; p-- > 0;) {
-      const std::uint64_t a = planes_[p * words_ + w];
-      const std::uint64_t h = ((half >> p) & 1ULL) ? ~0ULL : 0ULL;
-      gt |= eq & a & ~h;
-      eq &= ~(a ^ h);
-    }
-    out[w] = gt | (even ? (eq & tie_bits[w]) : 0ULL);
-  }
+  majority_planes(planes_.data(), words_, plane_count(), adds_, tie_bits, out);
 }
 
 std::uint64_t bitsliced_accumulator::count_at(std::size_t dim) const {

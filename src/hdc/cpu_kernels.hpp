@@ -26,6 +26,10 @@
 //     is added with a ripple-carry of word-wide AND/XOR. This is the
 //     combinational counter tree of Schmuck et al.'s dense-binary-HDC
 //     hardware optimisations, expressed in SIMD registers.
+//   * encode_majority — ID-Level encoding (Eq. 2) of one spectrum: the same
+//     bit-sliced majority over every peak's ID-row XOR Level-row, computed
+//     one 4- or 8-word lane group at a time with the group's counter planes
+//     held in registers, so each output word is stored once.
 //   * nearest_active_scan / lance_williams_row_update — the HAC row
 //     kernels: NN-chain's nearest-neighbour scan is an argmin over a flat
 //     row of doubles (retired columns are parked at +inf so no mask load
@@ -227,6 +231,29 @@ void lance_williams_row_update(float* keep_row, const float* gone_row,
                                const std::uint8_t* active, const double* sizes,
                                std::size_t n, const lw_update& u) noexcept;
 
+/// One peak's operands for encode_majority: the ID row and the Level row it
+/// binds, each `words` words read in place from the item memories.
+struct bind_rows {
+  const std::uint64_t* id = nullptr;
+  const std::uint64_t* level = nullptr;
+};
+
+/// Most counter planes the SIMD encode_majority variants hold in registers:
+/// spectra with more than 2^encode_register_planes - 1 peaks go to the
+/// scalar reference.
+inline constexpr std::size_t encode_register_planes = 9;
+
+/// ID-Level encoding (Eq. 2): out[0..words) = bitwise majority of the n
+/// bound vectors peaks[p].id ^ peaks[p].level, with bitsliced_accumulator's
+/// tie rule (n even and a count of exactly n/2 takes the tie_bits bit; n == 0
+/// yields tie_bits). The scalar variant is the plane-major reference — one
+/// accumulator pass per peak. The SIMD variants keep each 4- or 8-word
+/// group's bit_width(n) counter planes in registers, add the peaks' bound
+/// slices into them four at a time (full adders, then a carry ripple), and
+/// threshold and store the group once.
+void encode_majority(const bind_rows* peaks, std::size_t n, std::size_t words,
+                     const std::uint64_t* tie_bits, std::uint64_t* out);
+
 /// Carry-save bit-sliced counter over `words` 64-bit lanes (64 dimensions
 /// per word). add() accumulates one 0/1 observation per dimension from a
 /// packed word array; majority() thresholds against the add count with the
@@ -238,10 +265,6 @@ public:
 
   /// Clears all counts and resizes to `words` 64-bit lanes.
   void reset(std::size_t words);
-
-  /// Pre-allocates enough bit planes for `adds` additions (avoids plane
-  /// growth inside the per-peak loop).
-  void reserve_adds(std::uint64_t adds);
 
   std::size_t words() const noexcept { return words_; }
   std::size_t plane_count() const noexcept { return planes_.size() / (words_ ? words_ : 1); }

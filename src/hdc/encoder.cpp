@@ -16,24 +16,15 @@ id_level_encoder::id_level_encoder(const encoder_config& config, std::size_t mz_
 }
 
 hypervector id_level_encoder::encode(const preprocess::quantized_spectrum& s) const {
-  const std::size_t words = config_.dim / 64;
-
-  // Bit-sliced majority accumulation: each bound word feeds 64 dimension
-  // counters at once through the carry-save ripple, replacing the per-set-bit
-  // scatter of the scalar reference. Planes are pre-reserved for the peak
-  // count so the hot loop never reallocates.
-  kernels::bitsliced_accumulator acc(words);
-  acc.reserve_adds(s.peaks.size());
-  std::vector<std::uint64_t> bound(words);
+  // at() range-checks every bin and level before the kernel reads raw rows.
+  std::vector<kernels::bind_rows> rows;
+  rows.reserve(s.peaks.size());
   for (const auto& peak : s.peaks) {
-    const auto wi = ids_.at(peak.mz_bin).words();
-    const auto wl = levels_.at(peak.level).words();
-    for (std::size_t w = 0; w < words; ++w) bound[w] = wi[w] ^ wl[w];
-    acc.add(bound.data());
+    rows.push_back({ids_.at(peak.mz_bin).data(), levels_.at(peak.level).data()});
   }
-
   hypervector out(config_.dim);
-  acc.majority(tiebreak_.words().data(), out.words().data());
+  kernels::encode_majority(rows.data(), rows.size(), out.word_count(),
+                           tiebreak_.words().data(), out.words().data());
   return out;
 }
 

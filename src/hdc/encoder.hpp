@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "hdc/hypervector.hpp"
 #include "hdc/item_memory.hpp"
 #include "preprocess/quantize.hpp"
 
@@ -42,9 +43,9 @@ public:
   /// Deterministic tie-break donor for even peak counts (seed-derived).
   const hypervector& tiebreak() const noexcept { return tiebreak_; }
 
-  /// Encodes one quantised spectrum (Eq. 2). The per-dimension accumulation
-  /// runs through the bit-sliced carry-save counter in hdc::kernels instead
-  /// of a per-set-bit scatter; results are bit-identical (same tie-break).
+  /// Encodes one quantised spectrum (Eq. 2) with kernels::encode_majority
+  /// over the peaks' ID and Level rows. Throws logic_error when a peak's
+  /// m/z bin or level is outside the item memories.
   hypervector encode(const preprocess::quantized_spectrum& s) const;
 
   /// Encodes a batch; order preserved. When `pool` is non-null, spectra are

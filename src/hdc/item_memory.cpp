@@ -2,21 +2,38 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
+
+#include "util/rng.hpp"
 
 namespace spechd::hdc {
 
-id_memory::id_memory(std::size_t dim, std::size_t count, std::uint64_t seed) : dim_(dim) {
-  SPECHD_EXPECTS(count > 0);
+namespace {
+
+// Validates the shape before anything is allocated.
+std::size_t table_bytes(std::size_t dim, std::size_t rows) {
+  SPECHD_EXPECTS(dim > 0 && dim % 64 == 0 && rows > 0);
+  SPECHD_EXPECTS(rows <= std::numeric_limits<std::size_t>::max() / (dim / 8));
+  return rows * (dim / 8);
+}
+
+}  // namespace
+
+hv_table::hv_table(std::size_t dim, std::size_t rows)
+    : words_(dim / 64), rows_(rows), storage_(table_bytes(dim, rows)) {}
+
+id_memory::id_memory(std::size_t dim, std::size_t count, std::uint64_t seed)
+    : table_(dim, count) {
+  // Same draw order as one hypervector::random per row.
   xoshiro256ss rng(seed ^ 0x1D1D1D1D1D1D1D1DULL);
-  vectors_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    vectors_.push_back(hypervector::random(dim, rng));
+    for (auto& w : table_.row(i)) w = rng();
   }
 }
 
 level_memory::level_memory(std::size_t dim, std::size_t levels, std::uint64_t seed)
-    : dim_(dim) {
+    : table_(dim, levels) {
   SPECHD_EXPECTS(levels >= 2);
   xoshiro256ss rng(seed ^ 0x7E7E7E7E7E7E7E7EULL);
 
@@ -27,20 +44,21 @@ level_memory::level_memory(std::size_t dim, std::size_t levels, std::uint64_t se
     std::swap(order[i - 1], order[rng.bounded(i)]);
   }
 
-  hypervector base = hypervector::random(dim, rng);
-  vectors_.reserve(levels);
+  // Row 0 is the random base; every later row starts as a copy of the one
+  // before and flips the next dimensions of the order.
+  for (auto& w : table_.row(0)) w = rng();
   flip_counts_.reserve(levels);
 
   const double step = static_cast<double>(dim) / 2.0 / static_cast<double>(levels - 1);
-  hypervector current = base;
   std::size_t flipped = 0;
   for (std::size_t level = 0; level < levels; ++level) {
+    const auto row = table_.row(level);
+    if (level > 0) std::ranges::copy(table_.row(level - 1), row.begin());
     const auto target = static_cast<std::size_t>(step * static_cast<double>(level) + 0.5);
     while (flipped < target && flipped < dim) {
-      current.flip(order[flipped]);
+      row[order[flipped] / 64] ^= 1ULL << (order[flipped] % 64);
       ++flipped;
     }
-    vectors_.push_back(current);
     flip_counts_.push_back(flipped);
   }
 }

@@ -14,30 +14,57 @@
 //
 // Both tables are a pure function of (dim, count, seed): hardware
 // regenerates them at configuration time instead of storing them off-chip.
+// Each is one contiguous, 64-byte-aligned, row-major table, so the encode
+// kernel streams rows in place; this header is the only place that knows
+// the layout, and at() hands out range-checked rows.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "hdc/hypervector.hpp"
+#include "util/arena_pool.hpp"
+#include "util/error.hpp"
 
 namespace spechd::hdc {
+
+/// `rows` hypervectors of `dim` bits stored back to back in one 64-byte-
+/// aligned allocation: row i is words [i * dim/64, (i + 1) * dim/64).
+class hv_table {
+public:
+  hv_table(std::size_t dim, std::size_t rows);
+
+  std::size_t rows() const noexcept { return rows_; }
+  std::size_t dim() const noexcept { return words_ * 64; }
+
+  std::span<const std::uint64_t> row(std::size_t i) const noexcept {
+    return {reinterpret_cast<const std::uint64_t*>(storage_.data()) + i * words_, words_};
+  }
+  std::span<std::uint64_t> row(std::size_t i) noexcept {
+    return {reinterpret_cast<std::uint64_t*>(storage_.data()) + i * words_, words_};
+  }
+
+private:
+  std::size_t words_;
+  std::size_t rows_;
+  arena storage_;
+};
 
 /// f random ID hypervectors.
 class id_memory {
 public:
   id_memory(std::size_t dim, std::size_t count, std::uint64_t seed);
 
-  const hypervector& at(std::size_t i) const {
-    SPECHD_EXPECTS(i < vectors_.size());
-    return vectors_[i];
+  /// Words of ID[i]; throws logic_error when i is out of range.
+  std::span<const std::uint64_t> at(std::size_t i) const {
+    SPECHD_EXPECTS(i < table_.rows());
+    return table_.row(i);
   }
-  std::size_t size() const noexcept { return vectors_.size(); }
-  std::size_t dim() const noexcept { return dim_; }
+  std::size_t size() const noexcept { return table_.rows(); }
+  std::size_t dim() const noexcept { return table_.dim(); }
 
 private:
-  std::size_t dim_;
-  std::vector<hypervector> vectors_;
+  hv_table table_;
 };
 
 /// q correlated Level hypervectors (progressive flips of a random base).
@@ -45,20 +72,20 @@ class level_memory {
 public:
   level_memory(std::size_t dim, std::size_t levels, std::uint64_t seed);
 
-  const hypervector& at(std::size_t level) const {
-    SPECHD_EXPECTS(level < vectors_.size());
-    return vectors_[level];
+  /// Words of L[level]; throws logic_error when level is out of range.
+  std::span<const std::uint64_t> at(std::size_t level) const {
+    SPECHD_EXPECTS(level < table_.rows());
+    return table_.row(level);
   }
-  std::size_t size() const noexcept { return vectors_.size(); }
-  std::size_t dim() const noexcept { return dim_; }
+  std::size_t size() const noexcept { return table_.rows(); }
+  std::size_t dim() const noexcept { return table_.dim(); }
 
   /// Exact Hamming distance between levels a and b by construction:
   /// |flips(a) - flips(b)| where flips(i) = round(i * D/2 / (q-1)).
   std::size_t expected_hamming(std::size_t a, std::size_t b) const noexcept;
 
 private:
-  std::size_t dim_;
-  std::vector<hypervector> vectors_;
+  hv_table table_;
   std::vector<std::size_t> flip_counts_;
 };
 

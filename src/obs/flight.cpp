@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -168,6 +169,7 @@ registry::crash_ref g_crash_refs[k_max_crash_metrics];
 std::atomic<std::size_t> g_crash_ref_count{0};
 std::atomic<int> g_crash_fd{-1};
 std::atomic<int> g_crash_in_progress{0};
+std::atomic<long> g_crash_writer{0};  ///< kernel tid of the thread writing the dump
 std::atomic<bool> g_handlers_installed{false};
 std::terminate_handler g_prev_terminate = nullptr;
 
@@ -317,20 +319,32 @@ void write_dump_to_fd(int fd, int signo) noexcept {
   ::fsync(fd);
 }
 
+long current_tid() noexcept { return ::syscall(SYS_gettid); }
+
 extern "C" void crash_signal_handler(int sig) {
-  // Second fatal entry (handler itself crashed, or terminate already
-  // dumped): fall straight through to the default disposition.
+  const long self = current_tid();
   if (g_crash_in_progress.exchange(1, std::memory_order_acq_rel) == 0) {
+    g_crash_writer.store(self, std::memory_order_release);
     record_event(event_kind::crash, static_cast<std::uint64_t>(sig));
     const int fd = g_crash_fd.load(std::memory_order_acquire);
     if (fd >= 0) write_dump_to_fd(fd, sig);
+  } else if (g_crash_writer.load(std::memory_order_acquire) != self) {
+    // Another thread crashed first and is writing the dump; its re-raise
+    // below ends the process. Re-raising here at once would end it
+    // mid-write and leave a truncated dump, so wait — bounded (10 s), in
+    // case the writer is stuck in the write path.
+    const timespec tick{0, 1'000'000};
+    for (int i = 0; i < 10'000; ++i) ::nanosleep(&tick, nullptr);
   }
+  // First entry done, or a second entry on the writing thread (the handler
+  // itself crashed, or terminate already dumped): default disposition.
   ::signal(sig, SIG_DFL);
   ::raise(sig);
 }
 
 [[noreturn]] void crash_terminate_handler() {
   if (g_crash_in_progress.exchange(1, std::memory_order_acq_rel) == 0) {
+    g_crash_writer.store(current_tid(), std::memory_order_release);
     record_event(event_kind::crash, 0);
     const int fd = g_crash_fd.load(std::memory_order_acquire);
     if (fd >= 0) write_dump_to_fd(fd, 0);

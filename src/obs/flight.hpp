@@ -214,7 +214,9 @@ struct crash_dump {
 
 /// Installs SIGSEGV/SIGBUS/SIGABRT handlers plus a std::terminate handler
 /// that write a crash dump, then re-raise the default disposition (so the
-/// exit status still reports the signal). Pre-opens `path` (O_TRUNC) and
+/// exit status still reports the signal). The first fatal entry writes;
+/// other threads that crash meanwhile wait (up to 10 s) for its re-raise
+/// instead of cutting the dump short. Pre-opens `path` (O_TRUNC) and
 /// harvests the metric references immediately — the fatal path itself
 /// uses only write(2) + fsync on the held fd. Re-installable (tests):
 /// a later call replaces the path. Returns false when the file cannot be

@@ -331,28 +331,47 @@ preprocess::quantized_spectrum random_quantized(std::size_t peaks, std::uint32_t
   return s;
 }
 
-TEST(Encoder, VariantsBitIdenticalIncludingEvenPeakCountsAndEmpty) {
-  variant_guard guard;
-  const encoder_config config{.dim = 2048, .seed = 0xC0FFEE};
-  const id_level_encoder encoder(config, 512, 32);
-  xoshiro256ss rng(23);
-
-  std::vector<preprocess::quantized_spectrum> spectra;
-  // Even peak counts (tie-break reachable), odd counts, and the empty
-  // spectrum (all-ties edge case).
-  for (const std::size_t peaks : {0UL, 1UL, 2UL, 7UL, 50UL, 64UL}) {
-    spectra.push_back(random_quantized(peaks, 512, 32, rng));
+/// Per-dimension counter oracle: scatter every bound bit into an integer
+/// count, then threshold (count > n/2, exact half of an even n takes the
+/// tie-break bit). Independent of the bit-sliced planes every variant uses.
+hypervector counter_encode(const id_level_encoder& encoder,
+                           const preprocess::quantized_spectrum& s) {
+  std::vector<std::size_t> counts(encoder.dim(), 0);
+  for (const auto& peak : s.peaks) {
+    const auto id = encoder.ids().at(peak.mz_bin);
+    const auto level = encoder.levels().at(peak.level);
+    for (std::size_t d = 0; d < encoder.dim(); ++d) {
+      counts[d] += ((id[d / 64] ^ level[d / 64]) >> (d % 64)) & 1U;
+    }
   }
+  const std::size_t n = s.peaks.size();
+  hypervector out(encoder.dim());
+  for (std::size_t d = 0; d < encoder.dim(); ++d) {
+    const bool tie = n % 2 == 0 && counts[d] == n / 2;
+    out.assign(d, tie ? encoder.tiebreak().test(d) : counts[d] > n / 2);
+  }
+  return out;
+}
 
+/// Checks every supported variant, single calls and pooled batches, against
+/// the scalar reference, and the scalar reference against counter_encode.
+void expect_encode_bit_identical(const id_level_encoder& encoder,
+                                 const std::vector<preprocess::quantized_spectrum>& spectra) {
+  variant_guard guard;
   k::set_active(k::variant::scalar);
   std::vector<hypervector> reference;
-  for (const auto& s : spectra) reference.push_back(encoder.encode(s));
+  for (const auto& s : spectra) {
+    reference.push_back(encoder.encode(s));
+    ASSERT_EQ(reference.back(), counter_encode(encoder, s))
+        << "dim=" << encoder.dim() << " peaks=" << s.peaks.size();
+  }
 
   for (const auto v : supported_variants()) {
     k::set_active(v);
     for (std::size_t i = 0; i < spectra.size(); ++i) {
       EXPECT_EQ(encoder.encode(spectra[i]), reference[i])
-          << k::variant_name(v) << " spectrum " << i;
+          << k::variant_name(v) << " dim=" << encoder.dim()
+          << " peaks=" << spectra[i].peaks.size();
     }
     for (const std::size_t threads : {1UL, 4UL}) {
       thread_pool pool(threads);
@@ -360,10 +379,55 @@ TEST(Encoder, VariantsBitIdenticalIncludingEvenPeakCountsAndEmpty) {
       ASSERT_EQ(batch.size(), reference.size());
       for (std::size_t i = 0; i < batch.size(); ++i) {
         EXPECT_EQ(batch[i], reference[i])
-            << k::variant_name(v) << " threads=" << threads << " spectrum " << i;
+            << k::variant_name(v) << " threads=" << threads << " dim=" << encoder.dim()
+            << " peaks=" << spectra[i].peaks.size();
       }
     }
   }
+}
+
+// Every plane-count boundary bit_width(n) = 0..9 (even counts reach the
+// tie-break, 0 is the all-ties spectrum), plus the first count past the SIMD
+// register budget, which takes the scalar reference.
+TEST(Encoder, VariantsBitIdenticalIncludingEvenPeakCountsAndEmpty) {
+  const id_level_encoder encoder(encoder_config{.dim = 2048, .seed = 0xC0FFEE}, 512, 32);
+  xoshiro256ss rng(23);
+  std::vector<preprocess::quantized_spectrum> spectra;
+  for (const std::size_t peaks : {0UL, 1UL, 2UL, 3UL, 7UL, 50UL, 63UL, 64UL, 65UL, 127UL, 128UL,
+                                  255UL, 256UL, std::size_t{1} << k::encode_register_planes}) {
+    spectra.push_back(random_quantized(peaks, 512, 32, rng));
+  }
+  expect_encode_bit_identical(encoder, spectra);
+}
+
+// Word counts that are not a multiple of the 4- or 8-word SIMD groups take
+// the masked ragged-group path (1, 3 and 5 words); 4096 is a second full
+// width.
+TEST(Encoder, VariantsBitIdenticalOnRaggedWordCounts) {
+  for (const std::size_t dim : {64UL, 192UL, 320UL, 4096UL}) {
+    const id_level_encoder encoder(encoder_config{.dim = dim, .seed = 0xC0FFEE}, 300, 16);
+    xoshiro256ss rng(dim);
+    std::vector<preprocess::quantized_spectrum> spectra;
+    for (const std::size_t peaks : {0UL, 1UL, 2UL, 5UL, 64UL, 111UL}) {
+      spectra.push_back(random_quantized(peaks, 300, 16, rng));
+    }
+    expect_encode_bit_identical(encoder, spectra);
+  }
+}
+
+// The serving configuration: 34000 m/z bins x 64 levels at D = 2048, with
+// window_topk-sized spectra.
+TEST(Encoder, VariantsBitIdenticalOnProductionTable) {
+  const preprocess::quantize_config qc;
+  ASSERT_EQ(qc.mz_bins, 34000U);
+  ASSERT_EQ(qc.intensity_levels, 64U);
+  const id_level_encoder encoder(encoder_config{}, qc.mz_bins, qc.intensity_levels);
+  xoshiro256ss rng(29);
+  std::vector<preprocess::quantized_spectrum> spectra;
+  for (const std::size_t peaks : {50UL, 109UL, 110UL, 150UL}) {
+    spectra.push_back(random_quantized(peaks, qc.mz_bins, qc.intensity_levels, rng));
+  }
+  expect_encode_bit_identical(encoder, spectra);
 }
 
 TEST(Bundle, VariantsBitIdenticalIncludingEvenMemberTies) {

@@ -34,7 +34,10 @@ TEST(Encoder, SinglePeakEqualsBoundPair) {
   id_level_encoder enc(small_config(), 100, 16);
   const auto q = make_qs({{42, 9}});
   // With one peak the majority of a single binding is the binding itself.
-  const auto expected = enc.ids().at(42) ^ enc.levels().at(9);
+  hypervector expected(enc.dim());
+  const auto id = enc.ids().at(42);
+  const auto level = enc.levels().at(9);
+  for (std::size_t w = 0; w < expected.word_count(); ++w) expected.words()[w] = id[w] ^ level[w];
   EXPECT_EQ(enc.encode(q), expected);
 }
 

@@ -2,33 +2,61 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <span>
+#include <vector>
+
+#include "hdc/cpu_kernels.hpp"
+#include "hdc/encoder.hpp"
+#include "hdc/hypervector.hpp"
+#include "util/rng.hpp"
+
 namespace spechd::hdc {
 namespace {
+
+bool same_row(std::span<const std::uint64_t> a, std::span<const std::uint64_t> b) {
+  return std::ranges::equal(a, b);
+}
+
+bool same_row(std::span<const std::uint64_t> a, const hypervector& b) {
+  return std::ranges::equal(a, b.words());
+}
+
+std::size_t row_hamming(std::span<const std::uint64_t> a, std::span<const std::uint64_t> b) {
+  return kernels::xor_popcount(a.data(), b.data(), a.size());
+}
+
+double row_hamming_normalized(std::span<const std::uint64_t> a,
+                              std::span<const std::uint64_t> b) {
+  return static_cast<double>(row_hamming(a, b)) / static_cast<double>(a.size() * 64);
+}
 
 TEST(IdMemory, SizeAndDim) {
   id_memory ids(2048, 100, 1);
   EXPECT_EQ(ids.size(), 100U);
   EXPECT_EQ(ids.dim(), 2048U);
-  EXPECT_EQ(ids.at(0).dim(), 2048U);
+  EXPECT_EQ(ids.at(0).size(), 2048U / 64);
 }
 
 TEST(IdMemory, DeterministicInSeed) {
   id_memory a(512, 10, 77);
   id_memory b(512, 10, 77);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(a.at(i), b.at(i));
+  for (std::size_t i = 0; i < 10; ++i) EXPECT_TRUE(same_row(a.at(i), b.at(i)));
 }
 
 TEST(IdMemory, DifferentSeedsDiffer) {
   id_memory a(512, 4, 1);
   id_memory b(512, 4, 2);
-  EXPECT_NE(a.at(0), b.at(0));
+  EXPECT_FALSE(same_row(a.at(0), b.at(0)));
 }
 
 TEST(IdMemory, PairwiseApproximatelyOrthogonal) {
   id_memory ids(4096, 20, 5);
   for (std::size_t i = 0; i < 20; ++i) {
     for (std::size_t j = i + 1; j < 20; ++j) {
-      const double d = hamming_normalized(ids.at(i), ids.at(j));
+      const double d = row_hamming_normalized(ids.at(i), ids.at(j));
       EXPECT_NEAR(d, 0.5, 0.08) << i << "," << j;
     }
   }
@@ -39,16 +67,38 @@ TEST(IdMemory, OutOfRangeThrows) {
   EXPECT_THROW(ids.at(3), logic_error);
 }
 
+// Pins the generation order: row i is the i-th successive hypervector::random
+// draw from the table's seeded generator, so encoded HVs (and every
+// persisted format holding them) cannot move when the storage changes.
+TEST(IdMemory, RowsAreSuccessiveRandomDraws) {
+  constexpr std::uint64_t seed = 0xC0FFEE;
+  for (const std::size_t dim : {64UL, 2048UL}) {
+    const id_memory ids(dim, 300, seed);
+    xoshiro256ss rng(seed ^ 0x1D1D1D1D1D1D1D1DULL);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      ASSERT_TRUE(same_row(ids.at(i), hypervector::random(dim, rng))) << dim << " row " << i;
+    }
+  }
+}
+
+TEST(IdMemory, TableIsContiguousAndCacheLineAligned) {
+  const id_memory ids(2048, 5, 3);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(ids.at(0).data()) % 64, 0U);
+  for (std::size_t i = 1; i < ids.size(); ++i) {
+    EXPECT_EQ(ids.at(i).data(), ids.at(i - 1).data() + 2048 / 64);
+  }
+}
+
 TEST(LevelMemory, EndpointsNearOrthogonal) {
   level_memory levels(4096, 64, 9);
-  const double d = hamming_normalized(levels.at(0), levels.at(63));
+  const double d = row_hamming_normalized(levels.at(0), levels.at(63));
   EXPECT_NEAR(d, 0.5, 0.02);
 }
 
 TEST(LevelMemory, AdjacentLevelsClose) {
   level_memory levels(4096, 64, 9);
   for (std::size_t l = 0; l + 1 < 64; ++l) {
-    const auto d = hamming(levels.at(l), levels.at(l + 1));
+    const auto d = row_hamming(levels.at(l), levels.at(l + 1));
     EXPECT_LE(d, 4096 / 2 / 63 + 2) << l;
   }
 }
@@ -58,7 +108,7 @@ TEST(LevelMemory, HammingMonotoneInLevelGap) {
   // d(0, k) grows monotonically with k (progressive flips never revert).
   std::size_t prev = 0;
   for (std::size_t l = 1; l < 16; ++l) {
-    const auto d = hamming(levels.at(0), levels.at(l));
+    const auto d = row_hamming(levels.at(0), levels.at(l));
     EXPECT_GE(d, prev);
     prev = d;
   }
@@ -68,8 +118,33 @@ TEST(LevelMemory, ExpectedHammingExactByConstruction) {
   level_memory levels(2048, 16, 12);
   for (std::size_t a = 0; a < 16; ++a) {
     for (std::size_t b = 0; b < 16; ++b) {
-      EXPECT_EQ(hamming(levels.at(a), levels.at(b)), levels.expected_hamming(a, b))
+      EXPECT_EQ(row_hamming(levels.at(a), levels.at(b)), levels.expected_hamming(a, b))
           << a << "," << b;
+    }
+  }
+}
+
+// Pins the Level generation order against the construction spelled out
+// with hypervector operations: a Fisher-Yates flip order, then a random
+// base drawn from the same generator, then progressive flips.
+TEST(LevelMemory, RowsMatchProgressiveFlipConstruction) {
+  constexpr std::uint64_t seed = 0xC0FFEE;
+  for (const std::size_t dim : {64UL, 2048UL}) {
+    for (const std::size_t q : {2UL, 7UL, 64UL}) {
+      const level_memory levels(dim, q, seed);
+      xoshiro256ss rng(seed ^ 0x7E7E7E7E7E7E7E7EULL);
+      std::vector<std::uint32_t> order(dim);
+      std::iota(order.begin(), order.end(), 0U);
+      for (std::size_t i = dim; i > 1; --i) std::swap(order[i - 1], order[rng.bounded(i)]);
+      hypervector current = hypervector::random(dim, rng);
+      const double step = static_cast<double>(dim) / 2.0 / static_cast<double>(q - 1);
+      std::size_t flipped = 0;
+      for (std::size_t level = 0; level < q; ++level) {
+        const auto target = static_cast<std::size_t>(step * static_cast<double>(level) + 0.5);
+        for (; flipped < target && flipped < dim; ++flipped) current.flip(order[flipped]);
+        ASSERT_TRUE(same_row(levels.at(level), current))
+            << "dim " << dim << " q " << q << " level " << level;
+      }
     }
   }
 }
@@ -82,7 +157,40 @@ TEST(LevelMemory, RequiresAtLeastTwoLevels) {
 TEST(LevelMemory, Deterministic) {
   level_memory a(512, 8, 42);
   level_memory b(512, 8, 42);
-  for (std::size_t l = 0; l < 8; ++l) EXPECT_EQ(a.at(l), b.at(l));
+  for (std::size_t l = 0; l < 8; ++l) EXPECT_TRUE(same_row(a.at(l), b.at(l)));
+}
+
+TEST(LevelMemory, OutOfRangeThrows) {
+  level_memory levels(512, 8, 1);
+  EXPECT_THROW(levels.at(8), logic_error);
+}
+
+// encode() range-checks every peak before the kernel reads raw table rows:
+// an out-of-range bin or level throws under every variant instead of
+// reading past the flat tables.
+TEST(IdMemory, EncodeRejectsOutOfRangePeaksUnderEveryVariant) {
+  const kernels::variant saved = kernels::active();
+  const id_level_encoder encoder(encoder_config{.dim = 2048, .seed = 7}, 100, 16);
+  for (const auto v : {kernels::variant::scalar, kernels::variant::avx2,
+                       kernels::variant::avx512}) {
+    if (!kernels::supported(v)) continue;
+    kernels::set_active(v);
+    for (const std::size_t peaks : {1UL, 40UL}) {
+      preprocess::quantized_spectrum bad_bin;
+      preprocess::quantized_spectrum bad_level;
+      for (std::size_t p = 0; p < peaks; ++p) {
+        bad_bin.peaks.push_back({static_cast<std::uint32_t>(p % 100), 3});
+        bad_level.peaks.push_back({static_cast<std::uint32_t>(p % 100), 3});
+      }
+      bad_bin.peaks.back().mz_bin = 100;
+      bad_level.peaks.back().level = 16;
+      EXPECT_THROW((void)encoder.encode(bad_bin), logic_error) << kernels::variant_name(v);
+      EXPECT_THROW((void)encoder.encode(bad_level), logic_error) << kernels::variant_name(v);
+      EXPECT_THROW((void)encoder.encode_batch({bad_bin}), logic_error)
+          << kernels::variant_name(v);
+    }
+  }
+  kernels::set_active(saved);
 }
 
 }  // namespace

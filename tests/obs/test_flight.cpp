@@ -9,8 +9,11 @@
 // (no-op handles) when the slot table is full. The CrashDrill suite
 // drives the real binary: a failpoint-injected abort mid-journaled-ingest
 // must leave a parseable .sphcrash whose tail matches what recovery then
-// replays from the journal.
+// replays from the journal, and threads aborting at once in a forked child
+// must still leave one complete dump.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -512,6 +515,41 @@ TEST(CrashDrill, DoctorRejectsCorruptDumpWithDiagnostic) {
 
   const auto missing = run_spechd("doctor /nonexistent/x.sphcrash");
   EXPECT_EQ(missing.exit_code, 2);
+}
+
+// Several threads abort at once, as both shard writers do when an armed
+// abort failpoint fires on each: the first handler entry writes the dump,
+// and the others must wait for it instead of ending the process mid-write.
+TEST(CrashDrill, ConcurrentAbortsLeaveACompleteDump) {
+  namespace obs = spechd::obs;
+  const std::string crash = drill_path("concurrent.sphcrash");
+  for (int round = 0; round < 10; ++round) {
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      if (!obs::install_crash_handler(crash)) ::_exit(3);
+      std::atomic<int> ready{0};
+      std::vector<std::thread> threads;
+      for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&ready] {
+          ready.fetch_add(1);
+          while (ready.load() < 4) {
+          }
+          std::abort();
+        });
+      }
+      for (auto& t : threads) t.join();
+      ::_exit(4);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFSIGNALED(status)) << "round " << round;
+    EXPECT_EQ(WTERMSIG(status), SIGABRT);
+    obs::crash_dump dump;
+    ASSERT_TRUE(obs::read_crash_dump_file(crash, dump)) << "round " << round << ": truncated dump";
+    EXPECT_EQ(dump.signo, SIGABRT);
+  }
+  std::remove(crash.c_str());
 }
 
 }  // namespace
