@@ -11,6 +11,36 @@
 
 namespace spechd::core {
 
+linkage_pick complete_linkage_select(std::span<const std::uint32_t> counts,
+                                     std::span<const std::int32_t> labels,
+                                     std::int32_t clusters, std::size_t dim,
+                                     double threshold, std::span<std::uint32_t> worst) {
+  SPECHD_EXPECTS(labels.size() == counts.size());
+  SPECHD_EXPECTS(clusters >= 0 && worst.size() >= static_cast<std::size_t>(clusters));
+  SPECHD_EXPECTS(dim > 0);
+  const auto n_labels = static_cast<std::size_t>(clusters);
+  std::fill_n(worst.begin(), n_labels, 0U);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    // A negative label wraps past n_labels, so one test covers both ends.
+    const auto label = static_cast<std::size_t>(labels[i]);
+    SPECHD_EXPECTS(label < n_labels);
+    worst[label] = std::max(worst[label], counts[i] + 1);
+  }
+  linkage_pick pick;
+  double best = threshold;
+  const double d = static_cast<double>(dim);
+  for (std::size_t label = 0; label < n_labels; ++label) {
+    if (worst[label] == 0) continue;
+    const double w = static_cast<double>(worst[label] - 1) / d;
+    if (w <= best) {
+      best = w;
+      pick.label = static_cast<std::int32_t>(label);
+    }
+  }
+  if (pick.label >= 0) pick.distance = best;
+  return pick;
+}
+
 incremental_clusterer::incremental_clusterer(spechd_config config, assign_mode mode)
     : config_(std::move(config)),
       mode_(mode),
@@ -152,44 +182,28 @@ void incremental_clusterer::assign(bucket_state& bucket, std::uint32_t index,
       }
     }
   } else {
-    // Complete-linkage test: per existing cluster, the *worst* distance to
-    // any member must stay below the cut for a join. The whole member row
-    // is computed with one dispatched Hamming-tile call (same kernels, and
-    // bit-identical normalisation, as the per-pair path it replaces). The
-    // *pointer* tile is deliberate here: packing amortises over many rows
-    // (distance.cpp's O(n²) sweep packs once for n row sweeps), but this
-    // is a single-row call that reads each member exactly once — staging
-    // members into a packed blob would cost a full extra copy pass per
-    // ingested spectrum for zero kernel-side gain. The pointer array and
-    // counts row are still carved from one pooled arena so the hot
-    // ingestion path does no per-assign heap allocation.
-    std::map<std::int32_t, double> worst;
+    // One dispatched pointer-tile row against every existing member, then
+    // complete_linkage_select. A single-row call reads each member once,
+    // so staging them into a packed blob would only add a copy pass. The
+    // pointer array, the counts row and the select's per-cluster scratch
+    // share one pooled arena: no per-assign heap allocation.
     const std::size_t existing = bucket.members.size() - 1;
     if (existing > 0) {
-      const std::size_t words = hv.word_count();
-      const double dim = static_cast<double>(hv.dim());
+      const auto clusters = static_cast<std::size_t>(bucket.next_local);
       arena_lease scratch = arena_pool::global().checkout(
-          existing * (sizeof(const std::uint64_t*) + sizeof(std::uint32_t)));
+          existing * (sizeof(const std::uint64_t*) + sizeof(std::uint32_t)) +
+          clusters * sizeof(std::uint32_t));
       const std::uint64_t** const cols = scratch.as<const std::uint64_t*>(existing);
       for (std::size_t i = 0; i < existing; ++i) {
         cols[i] = records_[bucket.members[i]].hv.words().data();
       }
       auto* const counts = reinterpret_cast<std::uint32_t*>(cols + existing);
       const std::uint64_t* row = hv.words().data();
-      hdc::kernels::hamming_tile(&row, 1, cols, existing, words, counts);
-      for (std::size_t i = 0; i < existing; ++i) {
-        const auto label = bucket.local_labels[i];
-        const double d = static_cast<double>(counts[i]) / dim;
-        auto [it, inserted] = worst.try_emplace(label, d);
-        if (!inserted) it->second = std::max(it->second, d);
-      }
-    }
-    double best_worst = threshold;
-    for (const auto& [label, w] : worst) {
-      if (w <= best_worst) {
-        best_worst = w;
-        best_label = label;
-      }
+      hdc::kernels::hamming_tile(&row, 1, cols, existing, hv.word_count(), counts);
+      best_label = complete_linkage_select({counts, existing}, bucket.local_labels,
+                                           bucket.next_local, hv.dim(), threshold,
+                                           {counts + existing, clusters})
+                       .label;
     }
   }
 

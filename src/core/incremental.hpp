@@ -30,6 +30,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cluster/nn_chain.hpp"
@@ -81,6 +82,35 @@ enum class assign_mode {
   /// streaming shortcut (slightly more permissive near the threshold).
   bundle_representative,
 };
+
+/// Outcome of complete_linkage_select.
+struct linkage_pick {
+  std::int32_t label = -1;  ///< chosen local cluster; -1: none passes the cut
+  double distance = 1.0;    ///< its complete-linkage distance (set when label >= 0)
+};
+
+/// The complete-linkage criterion of the streaming path, the one place it
+/// is written: incremental_clusterer's assignment and serve::shard::query
+/// both select with it, so a query answers exactly what ingesting the
+/// spectrum would do.
+///
+/// `counts[i]` is the Hamming count from the probe to member i, whose
+/// local label is `labels[i]`; every label must lie in [0, clusters). A
+/// cluster's distance is its *worst* member count divided by `dim`. The
+/// pick is the cluster with the smallest distance that is <= `threshold`;
+/// labels are scanned in ascending order and a tie goes to the later
+/// label. Labels no member carries are skipped (imported states may have
+/// gaps). `worst` is caller scratch of at least `clusters` entries: the
+/// row is reduced into it by label (0 = no member, else 1 + max count),
+/// so the select costs one pass over the members plus one over the
+/// labels, with no allocation. Dividing the max count equals taking the
+/// max of the divided counts (IEEE division by a fixed positive `dim` is
+/// monotonic), so the pick and its distance are bit-identical to a
+/// per-member reduction.
+linkage_pick complete_linkage_select(std::span<const std::uint32_t> counts,
+                                     std::span<const std::int32_t> labels,
+                                     std::int32_t clusters, std::size_t dim,
+                                     double threshold, std::span<std::uint32_t> worst);
 
 /// Streaming/incremental front end over per-bucket cluster state.
 ///
@@ -195,9 +225,9 @@ private:
   };
 
   /// Assigns record `index` (already in `bucket`) to a cluster by the
-  /// complete-linkage criterion: join the cluster whose *maximum* member
-  /// distance is smallest and below threshold. The member-distance row is
-  /// computed with one dispatched hamming_tile call. Thread-safe for
+  /// mode's criterion (complete_linkage_select in complete_linkage mode).
+  /// The member-distance row is computed with one dispatched hamming_tile
+  /// call. Thread-safe for
   /// distinct buckets (reads records_, mutates only `bucket` and `report`).
   void assign(bucket_state& bucket, std::uint32_t index, update_report& report) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <span>
 #include <utility>
 
 #include "hdc/bundle.hpp"
@@ -542,9 +543,13 @@ query_result shard::query(const hdc::hypervector& hv, std::int64_t bucket_key,
   // (and the same normalisation) the ingest assignment path uses.
   obs::trace_span probe_span(probe_ns, obs::stage::bucket_probe);
   const std::size_t n = bucket.member_count;
-  std::vector<std::uint32_t> counts(n);
+  const auto clusters = static_cast<std::size_t>(bucket.cluster_count);
+  // The member row, then one entry per cluster for the select.
+  std::vector<std::uint32_t> scratch(n + clusters);
+  std::uint32_t* const counts = scratch.data();
+  const std::span<std::uint32_t> per_cluster(counts + n, clusters);
   hdc::kernels::hamming_tile_packed(hv.words().data(), 1, bucket.packed.data(), n,
-                                    bucket.hv_words, counts.data());
+                                    bucket.hv_words, counts);
 
   const double dim = static_cast<double>(hv.dim());
   for (std::size_t i = 0; i < n; ++i) {
@@ -554,45 +559,33 @@ query_result shard::query(const hdc::hypervector& hv, std::int64_t bucket_key,
   probe_span.finish();
 
   obs::trace_span select_span(select_ns, obs::stage::select);
-  double best = threshold;
-  std::int32_t best_label = -1;
+  core::linkage_pick pick;
   if (mode_ == core::assign_mode::bundle_representative) {
     // Bundle mode assigns against per-cluster majority representatives;
     // query the same way (one tiny tile over the reps). Tie semantics
     // match assign(): ascending label order, `<=` keeps the later label.
-    const auto clusters = static_cast<std::size_t>(bucket.cluster_count);
-    std::vector<std::uint32_t> rep_counts(clusters);
     hdc::kernels::hamming_tile_packed(hv.words().data(), 1, bucket.rep_packed.data(),
-                                      clusters, bucket.hv_words, rep_counts.data());
+                                      clusters, bucket.hv_words, per_cluster.data());
+    double best = threshold;
     for (std::size_t c = 0; c < clusters; ++c) {
-      const double d = static_cast<double>(rep_counts[c]) / dim;
+      const double d = static_cast<double>(per_cluster[c]) / dim;
       if (d <= best) {
         best = d;
-        best_label = static_cast<std::int32_t>(c);
+        pick.label = static_cast<std::int32_t>(c);
+        pick.distance = d;
       }
     }
   } else {
-    // Complete linkage: per cluster, the *worst* member distance must
-    // pass the cut; best worst wins. Same criterion as assign().
-    std::map<std::int32_t, double> worst;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = static_cast<double>(counts[i]) / dim;
-      auto [w, inserted] = worst.try_emplace(bucket.labels[i], d);
-      if (!inserted) w->second = std::max(w->second, d);
-    }
-    for (const auto& [label, w] : worst) {
-      if (w <= best) {
-        best = w;
-        best_label = label;
-      }
-    }
+    // The criterion assign() applies, from the one routine that writes it.
+    pick = core::complete_linkage_select({counts, n}, bucket.labels, bucket.cluster_count,
+                                         hv.dim(), threshold, per_cluster);
   }
-  if (best_label >= 0) {
+  if (pick.label >= 0) {
     result.matched = true;
-    result.local_label = best_label;
-    result.distance = best;
+    result.local_label = pick.label;
+    result.distance = pick.distance;
     result.cluster_size = static_cast<std::size_t>(
-        std::count(bucket.labels.begin(), bucket.labels.end(), best_label));
+        std::count(bucket.labels.begin(), bucket.labels.end(), pick.label));
   }
   return result;
 }

@@ -248,9 +248,10 @@ public:
 
   /// Query against the published view using *the same criterion ingest
   /// assignment uses* — so "query then ingest" agrees with the assignment
-  /// the spectrum would get. In complete_linkage mode: the cluster whose
-  /// worst member distance to `hv` is smallest, matched if it passes
-  /// `threshold`. In bundle_representative mode: the cluster whose
+  /// the spectrum would get. In complete_linkage mode:
+  /// core::complete_linkage_select over the bucket's member row (the
+  /// cluster whose worst member distance to `hv` is smallest, matched if
+  /// it passes `threshold`). In bundle_representative mode: the cluster whose
   /// majority-bundled representative is nearest. Safe from any thread.
   query_result query(const hdc::hypervector& hv, std::int64_t bucket_key,
                      double threshold) const;

@@ -257,7 +257,8 @@ TEST(NetProtocol, IngestDeclaringHugeCountRejected) {
   payload.append(reinterpret_cast<const char*>(&id), sizeof(id));
   const std::uint64_t count = 1ull << 32;
   payload.append(reinterpret_cast<const char*>(&count), sizeof(count));
-  const auto frame = decode_one(raw_frame(payload));
+  const auto bytes = raw_frame(payload);  // frame_view points into these bytes
+  const auto frame = decode_one(bytes);
   std::vector<ms::spectrum> batch;
   EXPECT_FALSE(parse_ingest_request(frame, batch));
 }

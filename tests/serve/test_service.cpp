@@ -3,6 +3,7 @@
 // safe to run concurrently with it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <map>
@@ -169,6 +170,59 @@ TEST(ClusteringService, BundleModeQueryUsesRepresentatives) {
     }
   }
   EXPECT_GT(matched, 0U);
+}
+
+TEST(ClusteringService, CompleteLinkageQueryAgreesWithAssignment) {
+  // Default mode: a query must answer what ingesting the spectrum would
+  // do. A probe clusterer holding exactly the queried shard's state pushes
+  // the spectrum; it must join an existing cluster iff the query matched,
+  // and then the same local label. Fresh probe per query, as above. One
+  // spectrum in four is held out of ingest, so queries also miss.
+  const auto stream = sample_stream(24, 5);
+  std::vector<ms::spectrum> ingested;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    if (i % 4 != 0) ingested.push_back(stream[i]);
+  }
+  serve_config sc;
+  sc.pipeline = small_config();
+  sc.shards = 2;
+  clustering_service service(sc);
+  service.ingest(ingested);
+  service.drain();
+  const auto states = service.export_states();
+
+  std::size_t matched = 0;
+  std::size_t unmatched = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const auto& s = stream[i];
+    const auto r = service.query(s);
+    if (!r.encodable) continue;
+    core::incremental_clusterer probe(sc.pipeline);
+    probe.import_state(states.at(r.shard));
+    const auto report = probe.push(s);
+    ASSERT_EQ(report.added, 1U) << "spectrum " << i;
+    EXPECT_EQ(report.joined_existing == 1, r.matched) << "spectrum " << i;
+    bool found = false;
+    probe.for_each_bucket([&](const core::incremental_clusterer::bucket_ref& bucket) {
+      if (bucket.key != r.bucket_key) return;
+      found = true;
+      if (!r.matched) return;
+      EXPECT_EQ(bucket.local_labels.back(), r.local_label) << "spectrum " << i;
+      // The query counts the members it saw; the push added one more.
+      const auto members = std::count(bucket.local_labels.begin(),
+                                      bucket.local_labels.end() - 1, r.local_label);
+      EXPECT_EQ(r.cluster_size, static_cast<std::size_t>(members)) << "spectrum " << i;
+    });
+    EXPECT_TRUE(found) << "spectrum " << i;
+    if (r.matched) {
+      ++matched;
+      EXPECT_LE(r.distance, sc.pipeline.distance_threshold);
+    } else {
+      ++unmatched;
+    }
+  }
+  EXPECT_GT(matched, 0U);
+  EXPECT_GT(unmatched, 0U);
 }
 
 TEST(ClusteringService, QueryAgainstEmptyServiceIsClean) {
