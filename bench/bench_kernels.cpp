@@ -2,16 +2,12 @@
 // kernels (src/hdc/cpu_kernels) buy over the seed's scalar hot loops, and
 // writes BENCH_kernels.json so future PRs can track the perf trajectory.
 //
-// Three sections:
+// Sections:
 //   * pairwise Hamming — seed-style serial double loop (per-pair at() and
 //     scalar word popcount) vs the tiled kernel, per variant, single- and
 //     multi-threaded. The acceptance bar is >= 4x pairs/sec at n=2000,
 //     dim=2048 on a multi-core host (>= 1.5x single-threaded from
 //     SIMD/bit-slicing alone).
-//   * packed tile (kernel layer v3) — the pointer-operand hamming_tile vs
-//     pack_operands + hamming_tile_packed (contiguous arena blob,
-//     carry-save popcount reduction) over the same tile sweep, per
-//     variant; packing time is charged to the packed path.
 //   * encoding — seed-style per-set-bit counter scatter vs encode under
 //     each supported variant (the scalar plane-major reference and the
 //     register-resident SIMD kernels), plus batch-parallel throughput.
@@ -202,86 +198,6 @@ int main(int argc, char** argv) {
   json.end_object();
   pw_table.print(std::cout);
   std::cout << '\n';
-
-  // --- packed tile (v3) vs pointer tile --------------------------------------
-  // Same 64×64 tile sweep over the full n×n grid through both kernels. The
-  // packed path pays pack_operands into an arena blob inside the timed
-  // region (as the real pairwise path does); best of three runs each. The
-  // acceptance bar is packed >= 1.2x unpacked pairs/sec on the AVX-512 dev
-  // container.
-  {
-    constexpr std::size_t tile_edge = 64;
-    const std::size_t words = hvs.front().word_count();
-    std::vector<const std::uint64_t*> ptrs(n);
-    for (std::size_t i = 0; i < n; ++i) ptrs[i] = hvs[i].words().data();
-    const std::size_t grid_pairs = n * n;
-    std::vector<std::uint32_t> counts(tile_edge * tile_edge);
-
-    auto best_of = [&](auto&& run) {
-      double best = std::numeric_limits<double>::infinity();
-      for (int rep = 0; rep < 3; ++rep) {
-        spechd::stopwatch watch;
-        run();
-        best = std::min(best, watch.seconds());
-      }
-      measurement m;
-      m.seconds = best;
-      m.per_sec = best > 0.0 ? static_cast<double>(grid_pairs) / best : 0.0;
-      return m;
-    };
-    auto sweep_unpacked = [&] {
-      for (std::size_t i0 = 0; i0 < n; i0 += tile_edge) {
-        const std::size_t rows = std::min(tile_edge, n - i0);
-        for (std::size_t j0 = 0; j0 < n; j0 += tile_edge) {
-          const std::size_t cols = std::min(tile_edge, n - j0);
-          k::hamming_tile(ptrs.data() + i0, rows, ptrs.data() + j0, cols, words,
-                          counts.data());
-        }
-      }
-    };
-    auto sweep_packed = [&] {
-      auto lease = spechd::arena_pool::global().checkout(n * words * sizeof(std::uint64_t));
-      std::uint64_t* const blob = lease.as<std::uint64_t>(n * words);
-      k::pack_operands(ptrs.data(), n, words, blob);
-      for (std::size_t i0 = 0; i0 < n; i0 += tile_edge) {
-        const std::size_t rows = std::min(tile_edge, n - i0);
-        for (std::size_t j0 = 0; j0 < n; j0 += tile_edge) {
-          const std::size_t cols = std::min(tile_edge, n - j0);
-          k::hamming_tile_packed(blob + i0 * words, rows, blob + j0 * words, cols, words,
-                                 counts.data());
-        }
-      }
-    };
-
-    text_table tile_table("packed vs unpacked Hamming tile, n=" + std::to_string(n) +
-                          ", dim=" + std::to_string(dim));
-    tile_table.set_header({"variant", "path", "seconds", "pairs/sec", "packed/unpacked"});
-    json.begin_object("packed_tile");
-    json.field("pairs", grid_pairs);
-    double active_speedup = 0.0;
-    for (const k::variant v : {k::variant::scalar, k::variant::avx2, k::variant::avx512}) {
-      if (!k::supported(v)) continue;
-      k::set_active(v);
-      const auto unpacked = best_of(sweep_unpacked);
-      const auto packed = best_of(sweep_packed);
-      const double speedup = packed.per_sec / unpacked.per_sec;
-      if (v == opts.variant) active_speedup = speedup;
-      tile_table.add_row({k::variant_name(v), "unpacked", text_table::num(unpacked.seconds, 3),
-                          text_table::num(unpacked.per_sec, 0), "1.00"});
-      tile_table.add_row({k::variant_name(v), "packed", text_table::num(packed.seconds, 3),
-                          text_table::num(packed.per_sec, 0), text_table::num(speedup, 2)});
-      json.begin_object(k::variant_name(v));
-      emit(json, "unpacked", unpacked, "pairs_per_sec");
-      emit(json, "packed", packed, "pairs_per_sec");
-      json.field("speedup_packed_vs_unpacked", speedup);
-      json.end_object();
-    }
-    k::set_active(opts.variant);
-    json.field("speedup_active_variant", active_speedup);
-    json.end_object();
-    tile_table.print(std::cout);
-    std::cout << '\n';
-  }
 
   // --- encoding --------------------------------------------------------------
   const spechd::hdc::encoder_config enc_config{.dim = dim, .seed = 0xC0FFEE};

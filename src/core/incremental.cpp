@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <set>
 
 #include "hdc/cpu_kernels.hpp"
-#include "hdc/distance.hpp"
 #include "preprocess/pipeline.hpp"
 #include "util/arena_pool.hpp"
 #include "util/thread_pool.hpp"
@@ -59,13 +59,14 @@ thread_pool& incremental_clusterer::pool() {
 
 void incremental_clusterer::bootstrap(const hdc::hv_store& store) {
   SPECHD_EXPECTS(store.dim() == config_.encoder.dim);
-  records_ = store.records();
+  records_.clear();
   buckets_.clear();
-  for (std::uint32_t i = 0; i < records_.size(); ++i) {
-    const auto key = preprocess::bucket_index(records_[i].precursor_mz,
-                                              records_[i].precursor_charge,
+  for (std::uint32_t i = 0; i < store.size(); ++i) {
+    const auto& r = store.records()[i];
+    records_.push_back({r.precursor_mz, r.precursor_charge, r.scan, r.label});
+    const auto key = preprocess::bucket_index(r.precursor_mz, r.precursor_charge,
                                               config_.preprocess.bucketing);
-    buckets_[key].members.push_back(i);
+    buckets_[key].append(i, r.hv.words());
   }
   std::vector<bucket_state*> all;
   all.reserve(buckets_.size());
@@ -81,27 +82,20 @@ update_report incremental_clusterer::push(const ms::spectrum& spectrum) {
 update_report incremental_clusterer::add_spectra(const std::vector<ms::spectrum>& spectra) {
   update_report report;
   auto batch = preprocess::run_preprocessing(spectra, config_.preprocess);
+  std::set<std::int64_t> touched;
   for (const auto& q : batch.spectra) {
-    hdc::hv_record record;
-    record.hv = encoder_.encode(q);
-    record.precursor_mz = q.precursor_mz;
-    record.precursor_charge = q.precursor_charge;
-    record.label = q.label;
-    record.scan = static_cast<std::uint32_t>(records_.size());
     const auto index = static_cast<std::uint32_t>(records_.size());
-    records_.push_back(std::move(record));
-
+    records_.push_back({q.precursor_mz, q.precursor_charge, index, q.label});
     const auto key = preprocess::bucket_index(q.precursor_mz, q.precursor_charge,
                                               config_.preprocess.bucketing);
     auto& bucket = buckets_[key];
-    bucket.members.push_back(index);
-    assign(bucket, index, report);
+    bucket.append(index, encoder_.encode(q).words());
+    assign(bucket, report);
     bucket.dirty = true;
+    touched.insert(key);
     ++report.added;
   }
-  std::size_t touched = 0;
-  for (const auto& [key, bucket] : buckets_) touched += bucket.dirty ? 1 : 0;
-  report.buckets_touched = touched;
+  report.buckets_touched = touched.size();
   return report;
 }
 
@@ -112,18 +106,12 @@ update_report incremental_clusterer::push_batch(const std::vector<ms::spectrum>&
     thread_pool& p = pool();
     // One batch-parallel encode pass (bit-identical to per-spectrum
     // encode), then route every record to its bucket in arrival order.
-    auto hvs = encoder_.encode_batch(batch.spectra, &p);
+    const auto hvs = encoder_.encode_batch(batch.spectra, &p);
+    const auto base = static_cast<std::uint32_t>(records_.size());
     std::map<std::int64_t, std::vector<std::uint32_t>> fresh;
-    for (std::size_t i = 0; i < batch.spectra.size(); ++i) {
-      const auto& q = batch.spectra[i];
-      hdc::hv_record record;
-      record.hv = std::move(hvs[i]);
-      record.precursor_mz = q.precursor_mz;
-      record.precursor_charge = q.precursor_charge;
-      record.label = q.label;
-      record.scan = static_cast<std::uint32_t>(records_.size());
+    for (const auto& q : batch.spectra) {
       const auto index = static_cast<std::uint32_t>(records_.size());
-      records_.push_back(std::move(record));
+      records_.push_back({q.precursor_mz, q.precursor_charge, index, q.label});
       const auto key = preprocess::bucket_index(q.precursor_mz, q.precursor_charge,
                                                 config_.preprocess.bucketing);
       fresh[key].push_back(index);
@@ -145,8 +133,8 @@ update_report incremental_clusterer::push_batch(const std::vector<ms::spectrum>&
         [&](std::size_t b) {
           bucket_state& bucket = *jobs[b].bucket;
           for (const auto index : *jobs[b].indices) {
-            bucket.members.push_back(index);
-            assign(bucket, index, partial[b]);
+            bucket.append(index, hvs[index - base].words());
+            assign(bucket, partial[b]);
             bucket.dirty = true;
           }
         },
@@ -156,17 +144,16 @@ update_report incremental_clusterer::push_batch(const std::vector<ms::spectrum>&
       report.new_clusters += r.new_clusters;
     }
     report.added = batch.spectra.size();
+    report.buckets_touched = fresh.size();
   }
-  std::size_t touched = 0;
-  for (const auto& [key, bucket] : buckets_) touched += bucket.dirty ? 1 : 0;
-  report.buckets_touched = touched;
   return report;
 }
 
-void incremental_clusterer::assign(bucket_state& bucket, std::uint32_t index,
-                                   update_report& report) const {
-  // The new member is the last entry; its local label is decided here.
-  const auto& hv = records_[index].hv;
+void incremental_clusterer::assign(bucket_state& bucket, update_report& report) const {
+  // The new member is the last row; its local label is decided here.
+  const std::size_t existing = bucket.members.size() - 1;
+  const auto hv = row(bucket, existing);
+  const std::size_t dim = config_.encoder.dim;
   const double threshold = config_.distance_threshold;
 
   std::int32_t best_label = -1;
@@ -175,36 +162,28 @@ void incremental_clusterer::assign(bucket_state& bucket, std::uint32_t index,
     double best = threshold;
     for (const auto& [label, bundle] : bucket.bundles) {
       if (bundle.empty()) continue;
-      const double d = hdc::hamming_normalized(hv, bundle.majority());
+      const double d = static_cast<double>(hdc::kernels::xor_popcount(
+                           hv.data(), bundle.majority().words().data(), hv.size())) /
+                       static_cast<double>(dim);
       if (d <= best) {
         best = d;
         best_label = label;
       }
     }
-  } else {
-    // One dispatched pointer-tile row against every existing member, then
-    // complete_linkage_select. A single-row call reads each member once,
-    // so staging them into a packed blob would only add a copy pass. The
-    // pointer array, the counts row and the select's per-cluster scratch
-    // share one pooled arena: no per-assign heap allocation.
-    const std::size_t existing = bucket.members.size() - 1;
-    if (existing > 0) {
-      const auto clusters = static_cast<std::size_t>(bucket.next_local);
-      arena_lease scratch = arena_pool::global().checkout(
-          existing * (sizeof(const std::uint64_t*) + sizeof(std::uint32_t)) +
-          clusters * sizeof(std::uint32_t));
-      const std::uint64_t** const cols = scratch.as<const std::uint64_t*>(existing);
-      for (std::size_t i = 0; i < existing; ++i) {
-        cols[i] = records_[bucket.members[i]].hv.words().data();
-      }
-      auto* const counts = reinterpret_cast<std::uint32_t*>(cols + existing);
-      const std::uint64_t* row = hv.words().data();
-      hdc::kernels::hamming_tile(&row, 1, cols, existing, hv.word_count(), counts);
-      best_label = complete_linkage_select({counts, existing}, bucket.local_labels,
-                                           bucket.next_local, hv.dim(), threshold,
-                                           {counts + existing, clusters})
-                       .label;
-    }
+  } else if (existing > 0) {
+    // One packed Hamming-tile row against every earlier member, then
+    // complete_linkage_select. The counts row and the select's per-cluster
+    // scratch share one pooled arena: no per-assign heap allocation.
+    const auto clusters = static_cast<std::size_t>(bucket.next_local);
+    arena_lease scratch =
+        arena_pool::global().checkout((existing + clusters) * sizeof(std::uint32_t));
+    std::uint32_t* const counts = scratch.as<std::uint32_t>(existing + clusters);
+    hdc::kernels::hamming_tile_packed(hv.data(), 1, bucket.packed.data(), existing,
+                                      hv.size(), counts);
+    best_label = complete_linkage_select({counts, existing}, bucket.local_labels,
+                                         bucket.next_local, dim, threshold,
+                                         {counts + existing, clusters})
+                     .label;
   }
 
   if (best_label >= 0) {
@@ -234,14 +213,14 @@ void incremental_clusterer::recluster(bucket_state& bucket) {
     if (mode_ == assign_mode::bundle_representative) {
       auto [it, inserted] = bucket.bundles.try_emplace(bucket.local_labels[0],
                                                        config_.encoder.dim);
-      it->second.add(records_[bucket.members[0]].hv);
+      it->second.add(row(bucket, 0));
     }
     return;
   }
 
   std::vector<hdc::hypervector> hvs;
   hvs.reserve(n);
-  for (const auto idx : bucket.members) hvs.push_back(records_[idx].hv);
+  for (std::size_t i = 0; i < n; ++i) hvs.emplace_back(row(bucket, i));
 
   // Same code path as the batch pipeline's per-bucket clustering (the pool
   // may be null when only sequential ingestion ever ran; parallel_for is
@@ -258,7 +237,7 @@ void incremental_clusterer::recluster(bucket_state& bucket) {
     for (std::size_t i = 0; i < bucket.members.size(); ++i) {
       auto [it, inserted] = bucket.bundles.try_emplace(bucket.local_labels[i],
                                                        config_.encoder.dim);
-      it->second.add(records_[bucket.members[i]].hv);
+      it->second.add(row(bucket, i));
     }
   }
 }
@@ -361,21 +340,25 @@ void incremental_clusterer::import_state(clusterer_state state) {
     }
   }
 
-  records_ = state.store.records();
+  records_.clear();
+  for (const auto& r : state.store.records()) {
+    records_.push_back({r.precursor_mz, r.precursor_charge, r.scan, r.label});
+  }
   buckets_.clear();
   for (auto& snap : state.buckets) {
     bucket_state& bucket = buckets_[snap.key];
-    bucket.members = std::move(snap.members);
+    // Rows follow the snapshot's member order (arrival order), not store order.
+    for (const auto idx : snap.members) bucket.append(idx, state.store.at(idx).hv.words());
     bucket.local_labels = std::move(snap.local_labels);
     bucket.next_local = snap.next_local;
     bucket.dirty = snap.dirty;
     if (mode_ == assign_mode::bundle_representative) {
       // Bundle counters are per-bit sums over members, so rebuilding from
-      // the records reproduces the original bundles exactly (order-free).
+      // the rows reproduces the original bundles exactly (order-free).
       for (std::size_t i = 0; i < bucket.members.size(); ++i) {
         auto [it, inserted] = bucket.bundles.try_emplace(bucket.local_labels[i],
                                                          config_.encoder.dim);
-        it->second.add(records_[bucket.members[i]].hv);
+        it->second.add(row(bucket, i));
       }
     }
   }
@@ -384,14 +367,23 @@ void incremental_clusterer::import_state(clusterer_state state) {
 void incremental_clusterer::for_each_bucket(
     const std::function<void(const bucket_ref&)>& fn) const {
   for (const auto& [key, bucket] : buckets_) {
-    fn(bucket_ref{key, bucket.members, bucket.local_labels, bucket.next_local,
-                  bucket.dirty});
+    fn(bucket_ref{key, bucket.members, bucket.packed, bucket.local_labels,
+                  bucket.next_local, bucket.dirty});
   }
 }
 
 hdc::hv_store incremental_clusterer::to_store() const {
+  // Each bucket's rows go back to their members' record indices.
+  std::vector<hdc::hv_record> records(records_.size());
+  for (const auto& [key, bucket] : buckets_) {
+    for (std::size_t i = 0; i < bucket.members.size(); ++i) {
+      const auto& m = records_[bucket.members[i]];
+      records[bucket.members[i]] = {hdc::hypervector(row(bucket, i)), m.precursor_mz,
+                                    m.precursor_charge, m.scan, m.label};
+    }
+  }
   hdc::hv_store store(config_.encoder.dim, config_.encoder.seed);
-  for (const auto& r : records_) store.append(r);
+  for (auto& r : records) store.append(std::move(r));
   return store;
 }
 

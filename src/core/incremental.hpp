@@ -189,6 +189,9 @@ public:
   struct bucket_ref {
     std::int64_t key;
     const std::vector<std::uint32_t>& members;      ///< record indices, arrival order
+    /// Members' hypervectors, row-major in member order (dim / 64 words
+    /// each): hamming_tile_packed's operand layout.
+    const std::vector<std::uint64_t>& packed;
     const std::vector<std::int32_t>& local_labels;  ///< cluster id per member
     std::int32_t cluster_count;                     ///< local cluster ids are [0, this)
     bool dirty;
@@ -198,9 +201,6 @@ public:
   /// to rebuild published query views without copying the whole state.
   /// Single-owner semantics apply (do not ingest concurrently).
   void for_each_bucket(const std::function<void(const bucket_ref&)>& fn) const;
-
-  /// Record `index` (indices are what bucket_ref::members hold).
-  const hdc::hv_record& record(std::size_t index) const { return records_.at(index); }
 
   std::size_t size() const noexcept { return records_.size(); }
   std::size_t cluster_count() const noexcept;
@@ -215,21 +215,41 @@ public:
   std::size_t dirty_bucket_count() const noexcept;
 
 private:
+  /// A record's clustering metadata; its hypervector is a row of its
+  /// bucket's `packed`.
+  struct record_meta {
+    double precursor_mz = 0.0;
+    std::int32_t precursor_charge = 0;
+    std::uint32_t scan = 0;
+    std::int32_t label = -1;
+  };
+
   struct bucket_state {
-    std::vector<std::uint32_t> members;        ///< record indices
+    std::vector<std::uint32_t> members;        ///< record indices, arrival order
+    std::vector<std::uint64_t> packed;         ///< members' HVs, row-major (bucket_ref)
     std::vector<std::int32_t> local_labels;    ///< cluster id per member
     std::int32_t next_local = 0;
     bool dirty = false;
     /// Bundled representative per local cluster (bundle_representative mode).
     std::map<std::int32_t, hdc::incremental_bundle> bundles;
+
+    void append(std::uint32_t index, std::span<const std::uint64_t> hv) {
+      members.push_back(index);
+      packed.insert(packed.end(), hv.begin(), hv.end());
+    }
   };
 
-  /// Assigns record `index` (already in `bucket`) to a cluster by the
-  /// mode's criterion (complete_linkage_select in complete_linkage mode).
-  /// The member-distance row is computed with one dispatched hamming_tile
-  /// call. Thread-safe for
-  /// distinct buckets (reads records_, mutates only `bucket` and `report`).
-  void assign(bucket_state& bucket, std::uint32_t index, update_report& report) const;
+  /// Member `i`'s hypervector: row i of `bucket.packed`.
+  std::span<const std::uint64_t> row(const bucket_state& bucket, std::size_t i) const {
+    const std::size_t words = config_.encoder.dim / 64;
+    return {bucket.packed.data() + i * words, words};
+  }
+
+  /// Assigns the bucket's last member to a cluster by the mode's criterion
+  /// (complete_linkage_select in complete_linkage mode, over one packed
+  /// Hamming-tile row against the earlier members). Thread-safe for
+  /// distinct buckets (mutates only `bucket` and `report`).
+  void assign(bucket_state& bucket, update_report& report) const;
 
   void recluster(bucket_state& bucket);
 
@@ -240,7 +260,7 @@ private:
   spechd_config config_;
   assign_mode mode_;
   hdc::id_level_encoder encoder_;
-  std::vector<hdc::hv_record> records_;
+  std::vector<record_meta> records_;  ///< ingestion order
   std::map<std::int64_t, bucket_state> buckets_;
   std::unique_ptr<thread_pool> pool_;
 };

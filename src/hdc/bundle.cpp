@@ -5,7 +5,7 @@ namespace spechd::hdc {
 hypervector bundle_majority(std::span<const hypervector> inputs) {
   SPECHD_EXPECTS(!inputs.empty());
   incremental_bundle bundle(inputs.front().dim());
-  for (const auto& hv : inputs) bundle.add(hv);
+  for (const auto& hv : inputs) bundle.add(hv.words());
   return bundle.majority();
 }
 
@@ -13,10 +13,10 @@ incremental_bundle::incremental_bundle(std::size_t dim) : dim_(dim), acc_(dim / 
   SPECHD_EXPECTS(dim > 0 && dim % 64 == 0);
 }
 
-void incremental_bundle::add(const hypervector& hv) {
-  SPECHD_EXPECTS(hv.dim() == dim_);
-  if (empty()) first_ = hv;
-  acc_.add(hv.words().data());
+void incremental_bundle::add(std::span<const std::uint64_t> hv) {
+  SPECHD_EXPECTS(hv.size() * 64 == dim_);
+  if (empty()) first_ = hypervector(hv);
+  acc_.add(hv.data());
 }
 
 hypervector incremental_bundle::majority() const {

@@ -35,7 +35,8 @@ public:
   std::size_t members() const noexcept { return static_cast<std::size_t>(acc_.additions()); }
   bool empty() const noexcept { return members() == 0; }
 
-  void add(const hypervector& hv);
+  /// Adds one member, given as its packed words (dim / 64 of them).
+  void add(std::span<const std::uint64_t> hv);
 
   /// Current majority vector. Requires at least one member.
   hypervector majority() const;

@@ -45,20 +45,9 @@ std::size_t xor_popcount_scalar(const std::uint64_t* a, const std::uint64_t* b,
   return count;
 }
 
-void hamming_tile_scalar(const std::uint64_t* const* rows, std::size_t n_rows,
-                         const std::uint64_t* const* cols, std::size_t n_cols,
-                         std::size_t words, std::uint32_t* counts) noexcept {
-  for (std::size_t r = 0; r < n_rows; ++r) {
-    for (std::size_t c = 0; c < n_cols; ++c) {
-      counts[r * n_cols + c] =
-          static_cast<std::uint32_t>(xor_popcount_scalar(rows[r], cols[c], words));
-    }
-  }
-}
-
-// Packed-operand reference: identical arithmetic to hamming_tile_scalar,
-// just without the pointer chase. The SIMD packed variants must match this
-// bit for bit (trivial — Hamming counts are exact integers).
+// Tile reference: one scalar XOR+popcount per (row, col) pair. The SIMD
+// variants must match this bit for bit (trivial — Hamming counts are exact
+// integers).
 void hamming_tile_packed_scalar(const std::uint64_t* rows, std::size_t n_rows,
                                 const std::uint64_t* cols, std::size_t n_cols,
                                 std::size_t words, std::uint32_t* counts) noexcept {
@@ -288,19 +277,6 @@ __attribute__((target("avx2"))) std::size_t popcount_avx2(const std::uint64_t* a
   std::size_t count = hsum_epi64_avx2(total);
   for (; w < words; ++w) count += static_cast<std::size_t>(std::popcount(a[w]));
   return count;
-}
-
-__attribute__((target("avx2"))) void hamming_tile_avx2(const std::uint64_t* const* rows,
-                                                       std::size_t n_rows,
-                                                       const std::uint64_t* const* cols,
-                                                       std::size_t n_cols, std::size_t words,
-                                                       std::uint32_t* counts) noexcept {
-  for (std::size_t r = 0; r < n_rows; ++r) {
-    for (std::size_t c = 0; c < n_cols; ++c) {
-      counts[r * n_cols + c] =
-          static_cast<std::uint32_t>(xor_popcount_avx2(rows[r], cols[c], words));
-    }
-  }
 }
 
 /// Packed tile, AVX2: rows are processed in pairs so each column vector is
@@ -767,17 +743,6 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) std::size_t popcount_avx512(
   return count;
 }
 
-__attribute__((target("avx512f,avx512vpopcntdq"))) void hamming_tile_avx512(
-    const std::uint64_t* const* rows, std::size_t n_rows, const std::uint64_t* const* cols,
-    std::size_t n_cols, std::size_t words, std::uint32_t* counts) noexcept {
-  for (std::size_t r = 0; r < n_rows; ++r) {
-    for (std::size_t c = 0; c < n_cols; ++c) {
-      counts[r * n_cols + c] =
-          static_cast<std::uint32_t>(xor_popcount_avx512(rows[r], cols[c], words));
-    }
-  }
-}
-
 /// Batched horizontal reduction of four 8-lane accumulators: sums each of
 /// a/b/c/d's 64-bit lanes with one unpack/shuffle tree instead of four
 /// sequential _mm512_reduce_add_epi64 chains (which would spend ~3 shuffle
@@ -967,12 +932,11 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void hamming_tile_packed_avx5
   }
 }
 
-/// Measured crossover on the Ice Lake dev container (bench_kernels,
-/// packed_tile section): with native VPOPCNTQ the plain reduction beats the
-/// carry-save ladder up to words ≈ 64 (dim 4096) — popcounts are nearly
-/// free while the ternlog ladder adds port pressure — and the CSA pulls
-/// ahead from words ≈ 128 (dim 8192), where halving the popcount stream
-/// dominates. Both are exact, so the split is pure dispatch.
+/// Measured crossover on an Ice Lake core: with native VPOPCNTQ the plain
+/// reduction beats the carry-save ladder up to words ≈ 64 (dim 4096) —
+/// popcounts are nearly free while the ternlog ladder adds port pressure —
+/// and the CSA pulls ahead from words ≈ 128 (dim 8192), where halving the
+/// popcount stream dominates. Both are exact, so the split is pure dispatch.
 constexpr std::size_t avx512_csa_min_words = 128;
 
 void hamming_tile_packed_avx512(const std::uint64_t* rows, std::size_t n_rows,
@@ -1331,8 +1295,6 @@ struct kernel_table {
   std::size_t (*popcount)(const std::uint64_t*, std::size_t) noexcept;
   std::size_t (*xor_popcount)(const std::uint64_t*, const std::uint64_t*,
                               std::size_t) noexcept;
-  void (*hamming_tile)(const std::uint64_t* const*, std::size_t, const std::uint64_t* const*,
-                       std::size_t, std::size_t, std::uint32_t*) noexcept;
   void (*hamming_tile_packed)(const std::uint64_t*, std::size_t, const std::uint64_t*,
                               std::size_t, std::size_t, std::uint32_t*) noexcept;
   std::size_t (*k_select)(const std::uint32_t*, std::size_t, std::size_t,
@@ -1353,7 +1315,6 @@ struct kernel_table {
 
 constexpr kernel_table scalar_table{popcount_scalar,
                                     xor_popcount_scalar,
-                                    hamming_tile_scalar,
                                     hamming_tile_packed_scalar,
                                     k_select_scalar,
                                     bitsliced_add_scalar,
@@ -1368,7 +1329,7 @@ kernel_table table_for(variant v) noexcept {
   switch (v) {
     case variant::avx2:
       return {popcount_avx2,           xor_popcount_avx2,
-              hamming_tile_avx2,       hamming_tile_packed_avx2,
+              hamming_tile_packed_avx2,
               k_select_avx2,
               bitsliced_add_avx2,
               encode_majority_avx2,
@@ -1378,7 +1339,7 @@ kernel_table table_for(variant v) noexcept {
       // The bit-sliced ripple is bound by carry shortening, not lane width;
       // AVX2 add alongside the 512-bit popcount datapath measures fastest.
       return {popcount_avx512,          xor_popcount_avx512,
-              hamming_tile_avx512,      hamming_tile_packed_avx512,
+              hamming_tile_packed_avx512,
               k_select_avx512,
               bitsliced_add_avx2,
               encode_majority_avx512,
@@ -1455,19 +1416,6 @@ std::size_t popcount(const std::uint64_t* a, std::size_t words) noexcept {
 std::size_t xor_popcount(const std::uint64_t* a, const std::uint64_t* b,
                          std::size_t words) noexcept {
   return state().table.xor_popcount(a, b, words);
-}
-
-void hamming_tile(const std::uint64_t* const* rows, std::size_t n_rows,
-                  const std::uint64_t* const* cols, std::size_t n_cols, std::size_t words,
-                  std::uint32_t* counts) noexcept {
-  state().table.hamming_tile(rows, n_rows, cols, n_cols, words, counts);
-}
-
-void pack_operands(const std::uint64_t* const* srcs, std::size_t n, std::size_t words,
-                   std::uint64_t* dst) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(dst + i * words, srcs[i], words * sizeof(std::uint64_t));
-  }
 }
 
 void hamming_tile_packed(const std::uint64_t* rows, std::size_t n_rows,

@@ -7,19 +7,18 @@
 // selected at *runtime* (compile-time guarded so non-x86 builds work):
 //
 //   * xor_popcount / popcount — fused XOR+popcount over whole hypervectors.
-//   * hamming_tile — a cache-blocked T×T tile of the condensed Hamming
-//     matrix per call; the building block pairwise_hamming_* parallelises
-//     over block rows.
-//   * hamming_tile_packed (kernel layer v3) — the same tile over *packed*
-//     operands: callers stage row/column operands into one contiguous,
-//     cache-aligned scratch blob (pack_operands, typically arena-pooled),
-//     removing the per-row pointer indirection of hamming_tile. The SIMD
-//     variants additionally pair rows so each column load is reused, and
-//     reduce the per-pair popcounts through a carry-save (bit-sliced)
-//     accumulator — XOR words are compressed with full-adder logic
-//     (VPTERNLOG on AVX-512) before the expensive popcount, halving
-//     popcount-port pressure. Counts are exact integers, so every variant
-//     is trivially bit-identical to the scalar packed reference.
+//   * hamming_tile_packed — a dense tile of Hamming counts over *packed*
+//     operands: each side is one contiguous row-major blob of
+//     hypervectors, the one layout every caller holds (pairwise_hamming_*
+//     copies a bucket into an arena blob and sweeps 64×64 tiles of the
+//     condensed matrix; the incremental clusterer, the shard query views
+//     and the spectral library keep their member HVs in it and run one
+//     row against a whole bucket). The SIMD variants block rows so each
+//     column load is reused, and reduce the per-pair popcounts through a
+//     carry-save (bit-sliced) accumulator — XOR words are compressed with
+//     full-adder logic (VPTERNLOG on AVX-512) before the expensive
+//     popcount, halving popcount-port pressure. Counts are exact integers,
+//     so every variant is trivially bit-identical to the scalar reference.
 //   * bitsliced_accumulator — a carry-save (bit-sliced) majority counter:
 //     instead of scattering every set bit of a bound word into per-bit
 //     integer counters, counts are kept as bit planes and each 64-dim word
@@ -86,26 +85,11 @@ std::size_t popcount(const std::uint64_t* a, std::size_t words) noexcept;
 std::size_t xor_popcount(const std::uint64_t* a, const std::uint64_t* b,
                          std::size_t words) noexcept;
 
-/// Dense Hamming tile: counts[r * n_cols + c] = xor_popcount(rows[r],
-/// cols[c], words) for every (r, c) in the tile. Row/col pointers let the
-/// caller block a triangular condensed matrix without copying vectors.
-void hamming_tile(const std::uint64_t* const* rows, std::size_t n_rows,
-                  const std::uint64_t* const* cols, std::size_t n_cols,
-                  std::size_t words, std::uint32_t* counts) noexcept;
-
-/// Packing stage of the v3 tile path: copies operand srcs[i][0..words) to
-/// dst[i * words ..], producing the contiguous row-major blob that
-/// hamming_tile_packed consumes. Plain copies (not dispatched); when `dst`
-/// is 64-byte aligned (spechd::arena guarantees it) and `words` is a
-/// multiple of 8, every packed operand starts on a cache-line boundary.
-void pack_operands(const std::uint64_t* const* srcs, std::size_t n, std::size_t words,
-                   std::uint64_t* dst) noexcept;
-
 /// Dense Hamming tile over packed operands: operand r is the contiguous
 /// range rows[r * words .. (r + 1) * words), likewise for cols, and
-/// counts[r * n_cols + c] = popcount(row_r ^ col_c). Same contract and
-/// results as hamming_tile, minus the pointer indirection; the SIMD
-/// variants use carry-save popcount reduction (see the header comment).
+/// counts[r * n_cols + c] = popcount(row_r ^ col_c) for every (r, c) in
+/// the tile. The SIMD variants use carry-save popcount reduction (see the
+/// header comment).
 void hamming_tile_packed(const std::uint64_t* rows, std::size_t n_rows,
                          const std::uint64_t* cols, std::size_t n_cols,
                          std::size_t words, std::uint32_t* counts) noexcept;

@@ -22,26 +22,22 @@ condensed_matrix<T> pairwise_impl(const std::vector<hypervector>& hvs, Convert c
   condensed_matrix<T> m(n);
   if (n < 2) return m;
 
-  // Validate dimensions once per batch — hoisted out of the O(n²) loop —
-  // and flatten word pointers for the packing stage.
+  // Packing stage: validate each dimension (once per batch, hoisted out of
+  // the O(n²) loop) and copy every operand once into one contiguous,
+  // cache-aligned arena blob — an O(n·words) pass against the O(n²·words)
+  // tile sweep. Every 64×64 tile then reads two contiguous row-major
+  // slices of the blob (hardware prefetch-friendly, 64-byte-aligned
+  // operands at the default dims), and the packed kernels layer their
+  // carry-save popcount reduction on top. The blob is read-only during the
+  // sweep, so block-row tasks share it.
   const std::size_t dim = hvs.front().dim();
   const std::size_t words = hvs.front().word_count();
-  std::vector<const std::uint64_t*> rows(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    SPECHD_EXPECTS(hvs[i].dim() == dim);
-    rows[i] = hvs[i].words().data();
-  }
-
-  // Packing stage (kernel layer v3): copy every operand once into one
-  // contiguous, cache-aligned arena blob — an O(n·words) pass against the
-  // O(n²·words) tile sweep. Every 64×64 tile then reads two contiguous
-  // row-major slices of the blob (no per-row pointer chase, hardware
-  // prefetch-friendly, 64-byte-aligned operands at the default dims), and
-  // the packed kernels layer their carry-save popcount reduction on top.
-  // The blob is read-only during the sweep, so block-row tasks share it.
   arena_lease packed = arena_pool::global().checkout(n * words * sizeof(std::uint64_t));
   std::uint64_t* const blob = packed.as<std::uint64_t>(n * words);
-  kernels::pack_operands(rows.data(), n, words, blob);
+  for (std::size_t i = 0; i < n; ++i) {
+    SPECHD_EXPECTS(hvs[i].dim() == dim);
+    std::ranges::copy(hvs[i].words(), blob + i * words);
+  }
 
   T* const out = m.data().data();
   const std::size_t block_rows = (n + tile - 1) / tile;

@@ -25,6 +25,12 @@ public:
     SPECHD_EXPECTS(dim > 0 && dim % 64 == 0);
   }
 
+  /// Copy of the packed words `words` (dim = 64 per word; non-empty).
+  explicit hypervector(std::span<const std::uint64_t> words)
+      : dim_(words.size() * 64), words_(words.begin(), words.end()) {
+    SPECHD_EXPECTS(!words.empty());
+  }
+
   /// Random dense vector (each bit i.i.d. fair coin) from `rng`.
   static hypervector random(std::size_t dim, xoshiro256ss& rng);
 

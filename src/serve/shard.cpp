@@ -470,18 +470,11 @@ void shard::publish(bool all) {
     auto fresh = std::make_shared<bucket_view>();
     const std::size_t n = bucket.members.size();
     fresh->member_count = n;
+    fresh->packed = bucket.packed;
     fresh->labels = bucket.local_labels;
     fresh->cluster_count = bucket.cluster_count;
     if (n > 0) {
-      const auto& first_hv = clusterer_.record(bucket.members[0]).hv;
-      fresh->hv_words = first_hv.word_count();
-      fresh->packed.resize(n * fresh->hv_words);
-      std::vector<const std::uint64_t*> srcs(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        srcs[i] = clusterer_.record(bucket.members[i]).hv.words().data();
-      }
-      hdc::kernels::pack_operands(srcs.data(), n, fresh->hv_words, fresh->packed.data());
-
+      fresh->hv_words = fresh->packed.size() / n;
       if (mode_ == core::assign_mode::bundle_representative && fresh->cluster_count > 0) {
         // Queries in bundle mode compare against the per-cluster majority
         // representatives, exactly like assignment. Rebuilding the bundles
@@ -489,10 +482,10 @@ void shard::publish(bool all) {
         // are order-free), so the view cannot drift from ingest state.
         const auto clusters = static_cast<std::size_t>(fresh->cluster_count);
         std::vector<hdc::incremental_bundle> bundles(
-            clusters, hdc::incremental_bundle(first_hv.dim()));
+            clusters, hdc::incremental_bundle(fresh->hv_words * 64));
         for (std::size_t i = 0; i < n; ++i) {
           bundles[static_cast<std::size_t>(bucket.local_labels[i])].add(
-              clusterer_.record(bucket.members[i]).hv);
+              {fresh->packed.data() + i * fresh->hv_words, fresh->hv_words});
         }
         fresh->rep_packed.resize(clusters * fresh->hv_words);
         for (std::size_t c = 0; c < clusters; ++c) {

@@ -39,8 +39,8 @@
 
 namespace spechd::serve {
 
-/// Frozen query view of one bucket: members' hypervectors packed into one
-/// contiguous blob (hamming_tile_packed's operand layout) + cluster labels.
+/// Frozen query view of one bucket: a copy of the clusterer bucket's
+/// packed member rows (hamming_tile_packed's operand layout) + cluster labels.
 struct bucket_view {
   std::size_t hv_words = 0;
   std::size_t member_count = 0;

@@ -60,6 +60,9 @@ snapshot_identity read_snapshot_identity(std::istream& in, const std::string& so
   id.bucket_resolution = get<double>(in, source);
   id.fallback_charge = get<std::int32_t>(in, source);
   id.assign_mode = get<std::uint32_t>(in, source);
+  if (id.assign_mode > static_cast<std::uint32_t>(core::assign_mode::bundle_representative)) {
+    throw parse_error(source, 0, "unknown assign_mode " + std::to_string(id.assign_mode));
+  }
   id.shard_count = get<std::uint32_t>(in, source);
   id.config_digest = get<std::uint32_t>(in, source);
   return id;

@@ -190,7 +190,8 @@ TEST(CompleteLinkageSelect, PushIntoImportedStateWithLabelGapsFollowsOracle) {
     probe.import_state(gapped);
     if (probe.push(spectra[s]).added == 0) continue;  // dropped by preprocessing
     const auto index = static_cast<std::uint32_t>(probe.size() - 1);
-    const auto& hv = probe.record(index).hv;
+    const auto store = probe.export_state().store;
+    const auto& hv = store.at(index).hv;
     bool found = false;
     probe.for_each_bucket([&](const incremental_clusterer::bucket_ref& bucket) {
       if (bucket.members.empty() || bucket.members.back() != index) return;
@@ -203,7 +204,7 @@ TEST(CompleteLinkageSelect, PushIntoImportedStateWithLabelGapsFollowsOracle) {
       std::vector<std::uint32_t> counts;
       for (std::size_t i = 0; i < existing; ++i) {
         counts.push_back(
-            static_cast<std::uint32_t>(hdc::hamming(hv, probe.record(bucket.members[i]).hv)));
+            static_cast<std::uint32_t>(hdc::hamming(hv, store.at(bucket.members[i]).hv)));
       }
       const std::vector<std::int32_t> labels(bucket.local_labels.begin(),
                                              bucket.local_labels.begin() +

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "metrics/quality.hpp"
 #include "ms/synthetic.hpp"
 
@@ -48,6 +51,44 @@ TEST(Incremental, AddReportsCounts) {
   EXPECT_EQ(report.added, inc.size());
   EXPECT_EQ(report.joined_existing + report.new_clusters, report.added);
   EXPECT_GT(report.buckets_touched, 0U);
+}
+
+std::map<std::int64_t, std::size_t> bucket_sizes(const incremental_clusterer& c) {
+  std::map<std::int64_t, std::size_t> sizes;
+  c.for_each_bucket([&](const incremental_clusterer::bucket_ref& bucket) {
+    sizes[bucket.key] = bucket.members.size();
+  });
+  return sizes;
+}
+
+TEST(Incremental, BucketsTouchedCountsOnlyThisUpdate) {
+  // Sorted by precursor m/z, the two halves land in (almost) disjoint
+  // buckets. No rebuild runs in between, so the first half's buckets are
+  // still dirty when the second report is taken.
+  auto spectra = make_dataset(14).spectra;
+  std::sort(spectra.begin(), spectra.end(), [](const ms::spectrum& a, const ms::spectrum& b) {
+    return a.precursor_mz < b.precursor_mz;
+  });
+  const std::size_t half = spectra.size() / 2;
+  const std::vector<ms::spectrum> first(spectra.begin(), spectra.begin() + half);
+  const std::vector<ms::spectrum> second(spectra.begin() + half, spectra.end());
+  for (const bool batched : {false, true}) {
+    incremental_clusterer inc(config());
+    const auto update = [&](const std::vector<ms::spectrum>& batch) {
+      return batched ? inc.push_batch(batch) : inc.add_spectra(batch);
+    };
+    update(first);
+    const auto before = bucket_sizes(inc);
+    const auto report = update(second);
+    std::size_t grew = 0;
+    for (const auto& [key, size] : bucket_sizes(inc)) {
+      const auto it = before.find(key);
+      grew += it == before.end() || it->second != size ? 1 : 0;
+    }
+    ASSERT_GT(grew, 0U) << (batched ? "push_batch" : "add_spectra");
+    EXPECT_LT(grew, inc.dirty_bucket_count()) << (batched ? "push_batch" : "add_spectra");
+    EXPECT_EQ(report.buckets_touched, grew) << (batched ? "push_batch" : "add_spectra");
+  }
 }
 
 TEST(Incremental, SecondBatchJoinsExistingClusters) {

@@ -67,14 +67,14 @@ TEST(Bundle, EvenTieBreaksTowardFirstInput) {
 TEST(IncrementalBundle, MatchesBatchBundle) {
   const auto members = random_hvs(9, 1024, 7);
   incremental_bundle inc(1024);
-  for (const auto& m : members) inc.add(m);
+  for (const auto& m : members) inc.add(m.words());
   EXPECT_EQ(inc.majority(), bundle_majority(members));
   EXPECT_EQ(inc.members(), 9U);
 }
 
 TEST(IncrementalBundle, DimensionMismatchRejected) {
   incremental_bundle inc(512);
-  EXPECT_THROW(inc.add(hypervector(1024)), logic_error);
+  EXPECT_THROW(inc.add(hypervector(1024).words()), logic_error);
 }
 
 TEST(IncrementalBundle, EmptyMajorityRejected) {

@@ -102,61 +102,10 @@ TEST(XorPopcount, AllVariantsMatchReferenceAcrossWordCounts) {
   }
 }
 
-TEST(HammingTile, AllVariantsMatchPerPairReference) {
-  variant_guard guard;
-  constexpr std::size_t words = 32;
-  constexpr std::size_t n_rows = 5;
-  constexpr std::size_t n_cols = 7;
-  xoshiro256ss rng(13);
-  std::vector<std::vector<std::uint64_t>> row_data;
-  std::vector<std::vector<std::uint64_t>> col_data;
-  std::vector<const std::uint64_t*> rows;
-  std::vector<const std::uint64_t*> cols;
-  for (std::size_t r = 0; r < n_rows; ++r) {
-    row_data.push_back(random_words(words, rng));
-    rows.push_back(row_data.back().data());
-  }
-  for (std::size_t c = 0; c < n_cols; ++c) {
-    col_data.push_back(random_words(words, rng));
-    cols.push_back(col_data.back().data());
-  }
-  for (const auto v : supported_variants()) {
-    k::set_active(v);
-    std::vector<std::uint32_t> counts(n_rows * n_cols, 0);
-    k::hamming_tile(rows.data(), n_rows, cols.data(), n_cols, words, counts.data());
-    for (std::size_t r = 0; r < n_rows; ++r) {
-      for (std::size_t c = 0; c < n_cols; ++c) {
-        EXPECT_EQ(counts[r * n_cols + c], xor_popcount_reference(rows[r], cols[c], words))
-            << k::variant_name(v) << " r=" << r << " c=" << c;
-      }
-    }
-  }
-}
-
-TEST(PackOperands, CopiesEveryOperandContiguously) {
-  xoshiro256ss rng(29);
-  constexpr std::size_t n = 9;
-  constexpr std::size_t words = 5;
-  std::vector<std::vector<std::uint64_t>> data;
-  std::vector<const std::uint64_t*> ptrs;
-  for (std::size_t i = 0; i < n; ++i) {
-    data.push_back(random_words(words, rng));
-    ptrs.push_back(data.back().data());
-  }
-  std::vector<std::uint64_t> blob(n * words, 0xDEADBEEF);
-  k::pack_operands(ptrs.data(), n, words, blob.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t w = 0; w < words; ++w) {
-      ASSERT_EQ(blob[i * words + w], data[i][w]) << "operand " << i << " word " << w;
-    }
-  }
-}
-
 // Randomized equivalence: the packed tile must agree with the per-pair
-// scalar reference (and hence with the pointer tile) for every supported
-// variant, across ragged shapes that exercise the 4-row blocking
-// remainders, the SIMD word tails, and — at words >= 128 — the AVX-512
-// carry-save reduction path.
+// scalar reference for every supported variant, across ragged shapes
+// that exercise the 4-row blocking remainders, the SIMD word tails, and
+// — at words >= 128 — the AVX-512 carry-save reduction path.
 TEST(HammingTilePacked, RandomizedEquivalenceAcrossVariantsAndShapes) {
   variant_guard guard;
   struct shape {
@@ -192,9 +141,10 @@ TEST(HammingTilePacked, RandomizedEquivalenceAcrossVariantsAndShapes) {
   }
 }
 
-// Packed and pointer tiles must agree bit-for-bit on the same operands —
-// the contract that let distance.cpp and the incremental assigner switch
-// paths without moving any quality metric.
+// Random shapes on top of the fixed ones above: every variant must agree
+// with the per-pair reference — the contract that lets pairwise_hamming_*,
+// the incremental assigner and the query views share one kernel without
+// moving any quality metric.
 TEST(HammingTilePacked, MatchesPointerTileOnRandomTrials) {
   variant_guard guard;
   xoshiro256ss rng(31337);
@@ -203,21 +153,19 @@ TEST(HammingTilePacked, MatchesPointerTileOnRandomTrials) {
     const std::size_t n_cols = 1 + rng.bounded(70);
     const std::size_t words = 1 + rng.bounded(40);
     std::vector<std::uint64_t> blob = random_words((n_rows + n_cols) * words, rng);
-    std::vector<const std::uint64_t*> row_ptrs(n_rows);
-    std::vector<const std::uint64_t*> col_ptrs(n_cols);
-    for (std::size_t r = 0; r < n_rows; ++r) row_ptrs[r] = blob.data() + r * words;
-    for (std::size_t c = 0; c < n_cols; ++c) {
-      col_ptrs[c] = blob.data() + (n_rows + c) * words;
+    const std::uint64_t* const cols = blob.data() + n_rows * words;
+    std::vector<std::uint32_t> expected(n_rows * n_cols);
+    for (std::size_t r = 0; r < n_rows; ++r) {
+      for (std::size_t c = 0; c < n_cols; ++c) {
+        expected[r * n_cols + c] = static_cast<std::uint32_t>(
+            xor_popcount_reference(blob.data() + r * words, cols + c * words, words));
+      }
     }
     for (const auto v : supported_variants()) {
       k::set_active(v);
-      std::vector<std::uint32_t> unpacked(n_rows * n_cols, 0);
       std::vector<std::uint32_t> packed(n_rows * n_cols, 1);
-      k::hamming_tile(row_ptrs.data(), n_rows, col_ptrs.data(), n_cols, words,
-                      unpacked.data());
-      k::hamming_tile_packed(blob.data(), n_rows, blob.data() + n_rows * words, n_cols,
-                             words, packed.data());
-      ASSERT_EQ(packed, unpacked) << k::variant_name(v) << " trial=" << trial
+      k::hamming_tile_packed(blob.data(), n_rows, cols, n_cols, words, packed.data());
+      ASSERT_EQ(packed, expected) << k::variant_name(v) << " trial=" << trial
                                   << " rows=" << n_rows << " cols=" << n_cols
                                   << " words=" << words;
     }
@@ -437,13 +385,13 @@ TEST(Bundle, VariantsBitIdenticalIncludingEvenMemberTies) {
 
     k::set_active(k::variant::scalar);
     incremental_bundle ref_bundle(2048);
-    for (const auto& hv : hvs) ref_bundle.add(hv);
+    for (const auto& hv : hvs) ref_bundle.add(hv.words());
     const auto reference = ref_bundle.majority();
 
     for (const auto v : supported_variants()) {
       k::set_active(v);
       incremental_bundle bundle(2048);
-      for (const auto& hv : hvs) bundle.add(hv);
+      for (const auto& hv : hvs) bundle.add(hv.words());
       EXPECT_EQ(bundle.members(), members);
       EXPECT_EQ(bundle.majority(), reference)
           << k::variant_name(v) << " members=" << members;

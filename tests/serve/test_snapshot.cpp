@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include "ms/synthetic.hpp"
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 
 namespace spechd::serve {
@@ -192,6 +194,22 @@ TEST(Snapshot, CorruptionIsRejected) {
   // Truncation (mid-payload and mid-CRC).
   expect_rejected(original.substr(0, original.size() / 2), "truncated payload");
   expect_rejected(original.substr(0, original.size() - 2), "truncated crc");
+  // An assign_mode outside the enum behind a recomputed CRC: the identity
+  // parser (shared by .sphsnap, journal headers and .sphlib) must refuse
+  // it rather than hand it to a config. It sits 32 bytes into the payload,
+  // after dim, seed, threshold, bucket resolution and fallback charge.
+  {
+    constexpr std::size_t header = 16;  // magic, version, payload length
+    std::string bytes = original;
+    const std::uint32_t mode = 7;
+    std::memcpy(bytes.data() + header + 32, &mode, sizeof mode);
+    const std::uint32_t crc = crc32(bytes.data() + header, bytes.size() - header - 4);
+    std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof crc);
+    std::ofstream out(snap.path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.close();
+    EXPECT_THROW(read_snapshot_identity_file(snap.path), parse_error);
+  }
 
   // Config mismatch: a service with a different threshold must refuse.
   {
