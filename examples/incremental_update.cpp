@@ -57,7 +57,7 @@ int main() {
     std::cout << "update: +" << report.added << " spectra, "
               << report.joined_existing << " joined existing clusters, "
               << report.new_clusters << " new clusters, "
-              << report.buckets_touched << " buckets touched\n";
+              << report.buckets_touched.size() << " buckets touched\n";
   }
   session.rebuild_dirty_buckets();
 

@@ -95,7 +95,7 @@ update_report incremental_clusterer::add_spectra(const std::vector<ms::spectrum>
     touched.insert(key);
     ++report.added;
   }
-  report.buckets_touched = touched.size();
+  report.buckets_touched.assign(touched.begin(), touched.end());
   return report;
 }
 
@@ -144,77 +144,72 @@ update_report incremental_clusterer::push_batch(const std::vector<ms::spectrum>&
       report.new_clusters += r.new_clusters;
     }
     report.added = batch.spectra.size();
-    report.buckets_touched = fresh.size();
+    for (const auto& [key, indices] : fresh) report.buckets_touched.push_back(key);
   }
   return report;
 }
 
 void incremental_clusterer::assign(bucket_state& bucket, update_report& report) const {
   // The new member is the last row; its local label is decided here.
-  const std::size_t existing = bucket.members.size() - 1;
-  const auto hv = row(bucket, existing);
+  bucket_rows& rows = bucket.rows;
   const std::size_t dim = config_.encoder.dim;
-  const double threshold = config_.distance_threshold;
+  const std::size_t words = dim / 64;
+  const auto hv = row(bucket, bucket.members.size() - 1);
 
-  std::int32_t best_label = -1;
-  if (mode_ == assign_mode::bundle_representative) {
-    // O(clusters) test against bundled representatives.
-    double best = threshold;
-    for (const auto& [label, bundle] : bucket.bundles) {
-      if (bundle.empty()) continue;
-      const double d = static_cast<double>(hdc::kernels::xor_popcount(
-                           hv.data(), bundle.majority().words().data(), hv.size())) /
-                       static_cast<double>(dim);
-      if (d <= best) {
-        best = d;
-        best_label = label;
-      }
-    }
-  } else if (existing > 0) {
-    // One packed Hamming-tile row against every earlier member, then
-    // complete_linkage_select. The counts row and the select's per-cluster
-    // scratch share one pooled arena: no per-assign heap allocation.
-    const auto clusters = static_cast<std::size_t>(bucket.next_local);
-    arena_lease scratch =
-        arena_pool::global().checkout((existing + clusters) * sizeof(std::uint32_t));
-    std::uint32_t* const counts = scratch.as<std::uint32_t>(existing + clusters);
-    hdc::kernels::hamming_tile_packed(hv.data(), 1, bucket.packed.data(), existing,
-                                      hv.size(), counts);
-    best_label = complete_linkage_select({counts, existing}, bucket.local_labels,
-                                         bucket.next_local, dim, threshold,
-                                         {counts + existing, clusters})
-                     .label;
+  // Bundle mode selects against one majority row per cluster, complete
+  // linkage against every earlier member; both through one packed
+  // Hamming-tile row and complete_linkage_select. The counts row and the
+  // select's per-cluster scratch share one pooled arena: no per-assign
+  // heap allocation.
+  const bool reps = mode_ == assign_mode::bundle_representative;
+  const std::span<const std::int32_t> labels = reps ? rows.rep_labels : rows.labels;
+  const std::size_t n = labels.size();
+  std::int32_t label = -1;
+  if (n > 0) {
+    const auto clusters = static_cast<std::size_t>(rows.cluster_count);
+    arena_lease scratch = arena_pool::global().checkout((n + clusters) * sizeof(std::uint32_t));
+    std::uint32_t* const counts = scratch.as<std::uint32_t>(n + clusters);
+    hdc::kernels::hamming_tile_packed(hv.data(), 1,
+                                      reps ? rows.rep_packed.data() : rows.packed.data(), n,
+                                      words, counts);
+    label = complete_linkage_select({counts, n}, labels, rows.cluster_count, dim,
+                                    config_.distance_threshold, {counts + n, clusters})
+                .label;
   }
 
-  if (best_label >= 0) {
-    bucket.local_labels.push_back(best_label);
+  if (label >= 0) {
     ++report.joined_existing;
   } else {
-    best_label = bucket.next_local++;
-    bucket.local_labels.push_back(best_label);
+    label = rows.cluster_count++;
     ++report.new_clusters;
   }
-  if (mode_ == assign_mode::bundle_representative) {
-    auto [it, inserted] =
-        bucket.bundles.try_emplace(best_label, config_.encoder.dim);
-    it->second.add(hv);
+  rows.labels.push_back(label);
+  if (reps) {
+    // Representatives are in ascending label order, and a founded
+    // cluster's label is the largest yet, so it is appended.
+    const auto at = std::lower_bound(rows.rep_labels.begin(), rows.rep_labels.end(), label);
+    const auto r = static_cast<std::size_t>(at - rows.rep_labels.begin());
+    if (at == rows.rep_labels.end()) {
+      rows.rep_labels.push_back(label);
+      rows.rep_packed.resize(rows.rep_packed.size() + words);
+      bucket.bundles.emplace_back(dim);
+    }
+    bucket.bundles[r].add(hv);
+    std::ranges::copy(bucket.bundles[r].majority().words(),
+                      rows.rep_packed.begin() + static_cast<std::ptrdiff_t>(r * words));
   }
 }
 
 void incremental_clusterer::recluster(bucket_state& bucket) {
+  bucket_rows& rows = bucket.rows;
   const std::size_t n = bucket.members.size();
-  bucket.local_labels.assign(n, 0);
-  bucket.next_local = 0;
+  rows.labels.assign(n, 0);
+  rows.cluster_count = 0;
   if (n == 0) return;
   if (n == 1) {
-    bucket.local_labels[0] = bucket.next_local++;
+    rows.cluster_count = 1;
     bucket.dirty = false;
-    bucket.bundles.clear();
-    if (mode_ == assign_mode::bundle_representative) {
-      auto [it, inserted] = bucket.bundles.try_emplace(bucket.local_labels[0],
-                                                       config_.encoder.dim);
-      it->second.add(row(bucket, 0));
-    }
+    rebuild_representatives(bucket);
     return;
   }
 
@@ -227,18 +222,32 @@ void incremental_clusterer::recluster(bucket_state& bucket) {
   // nested-safe, so reclusters dispatched from the pool can share it).
   cluster::hac_result hac = bucket_hac(hvs, config_, pool_.get());
   auto flat = hac.tree.cut(config_.distance_threshold);
-  bucket.local_labels = std::move(flat.labels);
-  bucket.next_local = static_cast<std::int32_t>(flat.cluster_count);
+  rows.labels = std::move(flat.labels);
+  rows.cluster_count = static_cast<std::int32_t>(flat.cluster_count);
   bucket.dirty = false;
+  rebuild_representatives(bucket);
+}
 
-  // Rebuild bundled representatives from the fresh labels.
+void incremental_clusterer::rebuild_representatives(bucket_state& bucket) const {
+  bucket_rows& rows = bucket.rows;
+  rows.rep_packed.clear();
+  rows.rep_labels.clear();
   bucket.bundles.clear();
-  if (mode_ == assign_mode::bundle_representative) {
-    for (std::size_t i = 0; i < bucket.members.size(); ++i) {
-      auto [it, inserted] = bucket.bundles.try_emplace(bucket.local_labels[i],
-                                                       config_.encoder.dim);
-      it->second.add(row(bucket, i));
-    }
+  if (mode_ != assign_mode::bundle_representative) return;
+  // Bundle counters are per-bit sums, so adding the members in arrival
+  // order reproduces the incrementally built bundles exactly, tie-break
+  // donor (each cluster's first member) included. Only labels that
+  // members carry get a representative.
+  std::map<std::int32_t, hdc::incremental_bundle> by_label;
+  for (std::size_t i = 0; i < bucket.members.size(); ++i) {
+    by_label.try_emplace(rows.labels[i], config_.encoder.dim).first->second.add(row(bucket, i));
+  }
+  for (auto& [label, bundle] : by_label) {
+    rows.rep_labels.push_back(label);
+    const auto majority = bundle.majority();
+    rows.rep_packed.insert(rows.rep_packed.end(), majority.words().begin(),
+                           majority.words().end());
+    bucket.bundles.push_back(std::move(bundle));
   }
 }
 
@@ -260,9 +269,9 @@ cluster::flat_clustering incremental_clusterer::clustering() const {
   for (const auto& [key, bucket] : buckets_) {
     for (std::size_t i = 0; i < bucket.members.size(); ++i) {
       out.labels[bucket.members[i]] =
-          static_cast<std::int32_t>(offset + static_cast<std::size_t>(bucket.local_labels[i]));
+          static_cast<std::int32_t>(offset + static_cast<std::size_t>(bucket.rows.labels[i]));
     }
-    offset += static_cast<std::size_t>(bucket.next_local);
+    offset += static_cast<std::size_t>(bucket.rows.cluster_count);
   }
   out.cluster_count = offset;
   return out;
@@ -276,8 +285,8 @@ clusterer_state incremental_clusterer::export_state() const {
     bucket_snapshot snap;
     snap.key = key;
     snap.members = bucket.members;
-    snap.local_labels = bucket.local_labels;
-    snap.next_local = bucket.next_local;
+    snap.local_labels = bucket.rows.labels;
+    snap.next_local = bucket.rows.cluster_count;
     snap.dirty = bucket.dirty;
     state.buckets.push_back(std::move(snap));
   }
@@ -295,6 +304,8 @@ void incremental_clusterer::import_state(clusterer_state state) {
   // labels aligned with members and consistent with next_local, and every
   // member's bucket key must agree with this config's bucketing (otherwise
   // future pushes would route the same precursor to a different bucket).
+  // Every cluster is founded by a member, so next_local cannot exceed the
+  // member count: a larger one would size each select's scratch by it.
   std::vector<bool> seen(n, false);
   std::int64_t previous_key = 0;
   bool first = true;
@@ -307,6 +318,11 @@ void incremental_clusterer::import_state(clusterer_state state) {
     if (snap.members.size() != snap.local_labels.size()) {
       throw spechd::error("clusterer_state bucket " + std::to_string(snap.key) +
                           ": members/labels size mismatch");
+    }
+    if (snap.next_local < 0 || static_cast<std::size_t>(snap.next_local) > snap.members.size()) {
+      throw spechd::error("clusterer_state bucket " + std::to_string(snap.key) +
+                          ": next_local " + std::to_string(snap.next_local) +
+                          " outside [0, " + std::to_string(snap.members.size()) + "]");
     }
     for (std::size_t i = 0; i < snap.members.size(); ++i) {
       const auto idx = snap.members[i];
@@ -349,27 +365,24 @@ void incremental_clusterer::import_state(clusterer_state state) {
     bucket_state& bucket = buckets_[snap.key];
     // Rows follow the snapshot's member order (arrival order), not store order.
     for (const auto idx : snap.members) bucket.append(idx, state.store.at(idx).hv.words());
-    bucket.local_labels = std::move(snap.local_labels);
-    bucket.next_local = snap.next_local;
+    bucket.rows.labels = std::move(snap.local_labels);
+    bucket.rows.cluster_count = snap.next_local;
     bucket.dirty = snap.dirty;
-    if (mode_ == assign_mode::bundle_representative) {
-      // Bundle counters are per-bit sums over members, so rebuilding from
-      // the rows reproduces the original bundles exactly (order-free).
-      for (std::size_t i = 0; i < bucket.members.size(); ++i) {
-        auto [it, inserted] = bucket.bundles.try_emplace(bucket.local_labels[i],
-                                                         config_.encoder.dim);
-        it->second.add(row(bucket, i));
-      }
-    }
+    rebuild_representatives(bucket);
   }
 }
 
 void incremental_clusterer::for_each_bucket(
     const std::function<void(const bucket_ref&)>& fn) const {
   for (const auto& [key, bucket] : buckets_) {
-    fn(bucket_ref{key, bucket.members, bucket.packed, bucket.local_labels,
-                  bucket.next_local, bucket.dirty});
+    fn(bucket_ref{key, bucket.members, bucket.rows, bucket.dirty});
   }
+}
+
+const bucket_rows& incremental_clusterer::rows(std::int64_t key) const {
+  const auto it = buckets_.find(key);
+  SPECHD_EXPECTS(it != buckets_.end());
+  return it->second.rows;
 }
 
 hdc::hv_store incremental_clusterer::to_store() const {
@@ -398,7 +411,7 @@ std::size_t incremental_clusterer::dirty_bucket_count() const noexcept {
 std::size_t incremental_clusterer::cluster_count() const noexcept {
   std::size_t total = 0;
   for (const auto& [key, bucket] : buckets_) {
-    total += static_cast<std::size_t>(bucket.next_local);
+    total += static_cast<std::size_t>(bucket.rows.cluster_count);
   }
   return total;
 }

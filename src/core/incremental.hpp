@@ -6,8 +6,9 @@
 // therefore, emerge as a promising approach for enhancing real-time data
 // analysis."
 //
-// The incremental clusterer maintains per-bucket cluster state (members +
-// a representative hypervector per cluster). New batches are preprocessed
+// The incremental clusterer maintains per-bucket cluster state
+// (core::bucket_rows: the members' rows and labels, plus a majority-bundled
+// representative per cluster in bundle mode). New batches are preprocessed
 // and encoded once, then each new spectrum either joins the nearest
 // existing cluster (complete-linkage test against all members, matching
 // the batch pipeline's criterion) or founds a new cluster; buckets whose
@@ -70,7 +71,21 @@ struct update_report {
   std::size_t added = 0;             ///< spectra ingested in this batch
   std::size_t joined_existing = 0;   ///< assigned to a pre-existing cluster
   std::size_t new_clusters = 0;      ///< founded by this batch
-  std::size_t buckets_touched = 0;
+  std::vector<std::int64_t> buckets_touched;  ///< keys this update changed, ascending
+};
+
+/// One bucket's cluster state in the layout a probe reads. The clusterer
+/// keeps it current on every update; the serve layer copies it unchanged
+/// into its query views. Rows are hypervectors of dim / 64 words,
+/// row-major: hamming_tile_packed's operand layout.
+struct bucket_rows {
+  std::vector<std::uint64_t> packed;  ///< members' rows, arrival order
+  std::vector<std::int32_t> labels;   ///< local cluster label per member
+  std::int32_t cluster_count = 0;     ///< local labels lie in [0, this)
+  /// bundle_representative mode only (empty otherwise): the majority row of
+  /// each cluster that has members, in ascending label order, and its label.
+  std::vector<std::uint64_t> rep_packed;
+  std::vector<std::int32_t> rep_labels;
 };
 
 /// How new spectra are matched against existing clusters.
@@ -89,14 +104,17 @@ struct linkage_pick {
   double distance = 1.0;    ///< its complete-linkage distance (set when label >= 0)
 };
 
-/// The complete-linkage criterion of the streaming path, the one place it
-/// is written: incremental_clusterer's assignment and serve::shard::query
-/// both select with it, so a query answers exactly what ingesting the
-/// spectrum would do.
+/// The select of the streaming path, the one place it is written:
+/// incremental_clusterer's assignment and serve::shard::query both call
+/// it in both assign modes, so a query answers exactly what ingesting the
+/// spectrum would do. Complete-linkage mode passes the members' rows;
+/// bundle_representative mode passes the clusters' majority rows
+/// (bucket_rows::rep_packed), one per label, so a cluster's worst count is
+/// its representative's count.
 ///
-/// `counts[i]` is the Hamming count from the probe to member i, whose
+/// `counts[i]` is the Hamming count from the probe to row i, whose
 /// local label is `labels[i]`; every label must lie in [0, clusters). A
-/// cluster's distance is its *worst* member count divided by `dim`. The
+/// cluster's distance is its *worst* row count divided by `dim`. The
 /// pick is the cluster with the smallest distance that is <= `threshold`;
 /// labels are scanned in ascending order and a tie goes to the later
 /// label. Labels no member carries are skipped (imported states may have
@@ -178,29 +196,30 @@ public:
   /// Replaces all state with `state`, validating it first: the store's
   /// dimension must match the config, the buckets must partition the
   /// records exactly, every member's key must agree with the config's
-  /// bucketing, and labels must be consistent with next_local. Throws
-  /// spechd::error on any violation (the instance is unchanged then).
-  /// After a successful import, subsequent pushes behave exactly as if
-  /// this instance had ingested the original sequence itself
-  /// (bundle-representative state is rebuilt from the records).
+  /// bucketing, labels must lie in [0, next_local), and next_local must
+  /// lie in [0, member count]. Throws spechd::error on any violation (the
+  /// instance is unchanged then). After a successful import, subsequent
+  /// pushes behave exactly as if this instance had ingested the original
+  /// sequence itself (bundle-representative state is rebuilt from the
+  /// records).
   void import_state(clusterer_state state);
 
   /// Read-only view of one bucket, valid only inside for_each_bucket.
   struct bucket_ref {
     std::int64_t key;
-    const std::vector<std::uint32_t>& members;      ///< record indices, arrival order
-    /// Members' hypervectors, row-major in member order (dim / 64 words
-    /// each): hamming_tile_packed's operand layout.
-    const std::vector<std::uint64_t>& packed;
-    const std::vector<std::int32_t>& local_labels;  ///< cluster id per member
-    std::int32_t cluster_count;                     ///< local cluster ids are [0, this)
+    const std::vector<std::uint32_t>& members;  ///< record indices, arrival order
+    const bucket_rows& rows;
     bool dirty;
   };
 
   /// Visits every bucket in ascending key order. The serve layer uses this
-  /// to rebuild published query views without copying the whole state.
+  /// to republish every query view without copying the whole state.
   /// Single-owner semantics apply (do not ingest concurrently).
   void for_each_bucket(const std::function<void(const bucket_ref&)>& fn) const;
+
+  /// The rows of bucket `key`, which must exist (e.g. a key of
+  /// update_report::buckets_touched). Valid until the next mutating call.
+  const bucket_rows& rows(std::int64_t key) const;
 
   std::size_t size() const noexcept { return records_.size(); }
   std::size_t cluster_count() const noexcept;
@@ -225,33 +244,38 @@ private:
   };
 
   struct bucket_state {
-    std::vector<std::uint32_t> members;        ///< record indices, arrival order
-    std::vector<std::uint64_t> packed;         ///< members' HVs, row-major (bucket_ref)
-    std::vector<std::int32_t> local_labels;    ///< cluster id per member
-    std::int32_t next_local = 0;
+    std::vector<std::uint32_t> members;  ///< record indices, arrival order
+    bucket_rows rows;
     bool dirty = false;
-    /// Bundled representative per local cluster (bundle_representative mode).
-    std::map<std::int32_t, hdc::incremental_bundle> bundles;
+    /// bundle_representative mode: each cluster's bit counters, parallel
+    /// to rows.rep_labels.
+    std::vector<hdc::incremental_bundle> bundles;
 
     void append(std::uint32_t index, std::span<const std::uint64_t> hv) {
       members.push_back(index);
-      packed.insert(packed.end(), hv.begin(), hv.end());
+      rows.packed.insert(rows.packed.end(), hv.begin(), hv.end());
     }
   };
 
-  /// Member `i`'s hypervector: row i of `bucket.packed`.
+  /// Member `i`'s hypervector: row i of `bucket.rows.packed`.
   std::span<const std::uint64_t> row(const bucket_state& bucket, std::size_t i) const {
     const std::size_t words = config_.encoder.dim / 64;
-    return {bucket.packed.data() + i * words, words};
+    return {bucket.rows.packed.data() + i * words, words};
   }
 
-  /// Assigns the bucket's last member to a cluster by the mode's criterion
-  /// (complete_linkage_select in complete_linkage mode, over one packed
-  /// Hamming-tile row against the earlier members). Thread-safe for
-  /// distinct buckets (mutates only `bucket` and `report`).
+  /// Assigns the bucket's last member to a cluster: complete_linkage_select
+  /// over one packed Hamming-tile row against the earlier members
+  /// (complete_linkage) or the clusters' majority rows
+  /// (bundle_representative), then updates the joined or founded
+  /// cluster's majority row. Thread-safe for distinct buckets (mutates
+  /// only `bucket` and `report`).
   void assign(bucket_state& bucket, update_report& report) const;
 
   void recluster(bucket_state& bucket);
+
+  /// Rebuilds the bundle-mode representatives from the members' labels
+  /// (clears them in complete_linkage mode).
+  void rebuild_representatives(bucket_state& bucket) const;
 
   /// Lazily-created shared pool (config_.threads workers) for push_batch,
   /// bootstrap, and rebuild_dirty_buckets.

@@ -37,9 +37,8 @@ clustering_service::clustering_service(serve_config config)
   const auto pipeline = shard_pipeline_config(config_);
   shards_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
-    shards_.push_back(std::make_unique<shard>(s, pipeline, config_.mode,
-                                              config_.queue_capacity,
-                                              config_.publish_every));
+    shards_.push_back(
+        std::make_unique<shard>(s, pipeline, config_.mode, config_.queue_capacity));
   }
   if (journaled()) attach_journal_dir();
   if (config_.maintenance.enabled) {

@@ -48,12 +48,6 @@ struct serve_config {
   std::size_t shards = 4;
   /// Ingest jobs (batches) buffered per shard before producers block.
   std::size_t queue_capacity = 16;
-  /// Coalesce view republishing across N applied batches (1 = republish
-  /// after every batch, the PR-4 behaviour). Views are also republished
-  /// whenever a shard's queue runs empty and by drain(), so visibility
-  /// after a drain is always complete; between drains a backlogged
-  /// shard's view may lag up to N-1 batches.
-  std::size_t publish_every = 1;
   /// Durability: set journal.dir to enable write-ahead journaling. The
   /// constructor then *recovers* whatever state the directory holds
   /// (newest snapshot + journal replay, truncating a torn tail) before

@@ -5,7 +5,6 @@
 #include <span>
 #include <utility>
 
-#include "hdc/bundle.hpp"
 #include "hdc/cpu_kernels.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -52,10 +51,9 @@ const char* shard_health_name(shard_health health) noexcept {
 }
 
 shard::shard(std::size_t id, const core::spechd_config& config, core::assign_mode mode,
-             std::size_t queue_capacity, std::size_t publish_every)
+             std::size_t queue_capacity)
     : id_(id),
       mode_(mode),
-      publish_every_(publish_every == 0 ? 1 : publish_every),
       clusterer_(config, mode),
       queue_(queue_capacity) {
   view_.store(std::make_shared<shard_view>());  // empty view: queries never see null
@@ -167,6 +165,8 @@ bool shard::heal_degraded() {
 
 void shard::apply_batch(std::vector<ms::spectrum> batch) {
   const std::size_t submitted = batch.size();
+  std::vector<std::int64_t> touched;  // stays empty when nothing was applied
+  bool apply_failed = false;
   bool journaled_ok = true;
   const std::uint64_t journal_mark = journal_ ? journal_->bytes() : 0;
   if (journal_) {
@@ -197,12 +197,14 @@ void shard::apply_batch(std::vector<ms::spectrum> batch) {
   if (journaled_ok) {
     try {
       obs::trace_span apply_span(shard_apply_ns(), obs::stage::shard_apply);
-      const auto report = clusterer_.push_batch(batch);
+      auto report = clusterer_.push_batch(batch);
       apply_span.finish();
       ingested_.fetch_add(report.added, std::memory_order_relaxed);
       dropped_.fetch_add(submitted - report.added, std::memory_order_relaxed);
       obs::record_event(obs::event_kind::ingest_batch, report.added, id_);
+      touched = std::move(report.buckets_touched);
     } catch (...) {
+      apply_failed = true;
       record_error(std::current_exception());
       // The record was journaled but the batch was never applied: remove
       // it again, or replay would resurrect a batch this service dropped
@@ -228,12 +230,7 @@ void shard::apply_batch(std::vector<ms::spectrum> batch) {
   }
   batches_.fetch_add(1, std::memory_order_relaxed);
   update_status();
-  // Coalesced republish: rebuild views every publish_every-th batch, and
-  // always when the queue just ran dry (an idle shard's view is current).
-  ++pending_publishes_;
-  if (pending_publishes_ >= publish_every_ || queue_.size() == 0) {
-    publish(/*all=*/false);
-  }
+  publish(apply_failed ? nullptr : &touched);
 }
 
 void shard::apply_txn_batch(std::vector<ms::spectrum> batch, std::uint64_t txn_id,
@@ -337,14 +334,18 @@ void shard::apply_txn_batch(std::vector<ms::spectrum> batch, std::uint64_t txn_i
   // the commit record already promises the batch everywhere and peers are
   // applying it — so the shard goes failed (journal ⊃ applied; recovery
   // will apply the batch from the journal).
+  std::vector<std::int64_t> touched;
+  bool apply_failed = false;
   try {
     obs::trace_span apply_span(shard_apply_ns(), obs::stage::shard_apply);
-    const auto report = clusterer_.push_batch(batch);
+    auto report = clusterer_.push_batch(batch);
     apply_span.finish();
     ingested_.fetch_add(report.added, std::memory_order_relaxed);
     dropped_.fetch_add(submitted - report.added, std::memory_order_relaxed);
     obs::record_event(obs::event_kind::ingest_batch, report.added, id_);
+    touched = std::move(report.buckets_touched);
   } catch (...) {
+    apply_failed = true;
     record_error(std::current_exception());
     set_health(shard_health::failed,
                "batch apply failed after its cross-shard commit; restart to recover "
@@ -352,10 +353,7 @@ void shard::apply_txn_batch(std::vector<ms::spectrum> batch, std::uint64_t txn_i
   }
   batches_.fetch_add(1, std::memory_order_relaxed);
   update_status();
-  ++pending_publishes_;
-  if (pending_publishes_ >= publish_every_ || queue_.size() == 0) {
-    publish(/*all=*/false);
-  }
+  publish(apply_failed ? nullptr : &touched);
 }
 
 void shard::run_on_writer(std::function<void()> fn) {
@@ -385,11 +383,7 @@ void shard::run_exclusive(const std::function<void(core::incremental_clusterer&)
       // and keeps views honest if it did.
       error = std::current_exception();
     }
-    if (republish) {
-      publish(/*all=*/true);
-    } else {
-      flush_publish();
-    }
+    if (republish) publish(nullptr);
     if (journal_) {
       // Exclusive sections double as durability barriers (drain, export).
       try {
@@ -425,7 +419,7 @@ bool shard::maintain(bool only_if_idle) {
     clusterer_.rebuild_dirty_buckets();
     obs::record_event(obs::event_kind::maintenance_action, /*reclusters=*/1,
                       /*deferred=*/0);
-    publish(/*all=*/true);
+    publish(nullptr);
   };
   return only_if_idle ? queue_.try_push(std::move(job)) : queue_.push(std::move(job));
 }
@@ -441,76 +435,32 @@ core::clusterer_state shard::export_and_rotate_journal(const journal_head& head,
   return state;
 }
 
-void shard::publish(bool all) {
+void shard::publish(const std::vector<std::int64_t>* touched) {
   static auto& publish_ns =
       obs::registry::instance().histogram("spechd_view_publish_ns");
   static auto& publishes =
       obs::registry::instance().counter("spechd_view_publishes_total");
   publishes.add(1);
   obs::trace_span span(publish_ns, obs::stage::view_publish);
-  const auto previous = view_.load();
   auto next = std::make_shared<shard_view>();
-  if (all) {
-    // Full republish (run_exclusive: import/recluster may have relabelled
-    // or *removed* buckets): rebuild the map from the clusterer alone so
-    // stale buckets cannot survive in query views.
-    published_shape_.clear();
+  if (touched == nullptr) {
+    // Rebuild the map from the clusterer alone so buckets an import
+    // removed cannot survive in query views.
+    clusterer_.for_each_bucket([&](const core::incremental_clusterer::bucket_ref& bucket) {
+      next->buckets.emplace(bucket.key, std::make_shared<const core::bucket_rows>(bucket.rows));
+    });
   } else {
-    next->buckets = previous->buckets;  // shared_ptr copies: O(buckets)
-  }
-
-  std::size_t dirty = 0;
-  clusterer_.for_each_bucket([&](const core::incremental_clusterer::bucket_ref& bucket) {
-    dirty += bucket.dirty ? 1 : 0;
-    const auto shape = std::make_pair(bucket.members.size(), bucket.cluster_count);
-    auto [it, inserted] = published_shape_.try_emplace(bucket.key, shape);
-    if (!all && !inserted && it->second == shape) return;  // untouched since last publish
-    it->second = shape;
-
-    auto fresh = std::make_shared<bucket_view>();
-    const std::size_t n = bucket.members.size();
-    fresh->member_count = n;
-    fresh->packed = bucket.packed;
-    fresh->labels = bucket.local_labels;
-    fresh->cluster_count = bucket.cluster_count;
-    if (n > 0) {
-      fresh->hv_words = fresh->packed.size() / n;
-      if (mode_ == core::assign_mode::bundle_representative && fresh->cluster_count > 0) {
-        // Queries in bundle mode compare against the per-cluster majority
-        // representatives, exactly like assignment. Rebuilding the bundles
-        // from the members reproduces the clusterer's (per-bit counters
-        // are order-free), so the view cannot drift from ingest state.
-        const auto clusters = static_cast<std::size_t>(fresh->cluster_count);
-        std::vector<hdc::incremental_bundle> bundles(
-            clusters, hdc::incremental_bundle(fresh->hv_words * 64));
-        for (std::size_t i = 0; i < n; ++i) {
-          bundles[static_cast<std::size_t>(bucket.local_labels[i])].add(
-              {fresh->packed.data() + i * fresh->hv_words, fresh->hv_words});
-        }
-        fresh->rep_packed.resize(clusters * fresh->hv_words);
-        for (std::size_t c = 0; c < clusters; ++c) {
-          const auto rep = bundles[c].majority();
-          const auto words = rep.words();
-          std::copy(words.begin(), words.end(),
-                    fresh->rep_packed.begin() +
-                        static_cast<std::ptrdiff_t>(c * fresh->hv_words));
-        }
-      }
+    next->buckets = view_.load()->buckets;  // shared_ptr copies: O(buckets)
+    for (const auto key : *touched) {
+      next->buckets[key] = std::make_shared<const core::bucket_rows>(clusterer_.rows(key));
     }
-    next->buckets[bucket.key] = std::move(fresh);
-  });
-
+  }
   next->record_count = clusterer_.size();
   next->cluster_count = clusterer_.cluster_count();
-  next->dirty_buckets = dirty;
+  next->dirty_buckets = clusterer_.dirty_bucket_count();
   next->epoch = ++epoch_;
   view_.store(std::move(next));
-  pending_publishes_ = 0;
   obs::record_event(obs::event_kind::view_publish, epoch_, id_);
-}
-
-void shard::flush_publish() {
-  if (pending_publishes_ > 0) publish(/*all=*/false);
 }
 
 query_result shard::query(const hdc::hypervector& hv, std::int64_t bucket_key,
@@ -523,9 +473,11 @@ query_result shard::query(const hdc::hypervector& hv, std::int64_t bucket_key,
   const auto view = view_.load();
   result.view_epoch = view->epoch;
   const auto it = view->buckets.find(bucket_key);
-  if (it == view->buckets.end() || it->second->member_count == 0) return result;
-  const bucket_view& bucket = *it->second;
-  SPECHD_EXPECTS(bucket.hv_words == hv.word_count());
+  if (it == view->buckets.end() || it->second->labels.empty()) return result;
+  const core::bucket_rows& bucket = *it->second;
+  const std::size_t words = hv.word_count();
+  const std::size_t n = bucket.labels.size();
+  SPECHD_EXPECTS(bucket.packed.size() == n * words);
 
   static auto& probe_ns =
       obs::registry::instance().histogram("spechd_query_bucket_probe_ns");
@@ -535,14 +487,14 @@ query_result shard::query(const hdc::hypervector& hv, std::int64_t bucket_key,
   // One packed Hamming-tile row against every member — the same kernels
   // (and the same normalisation) the ingest assignment path uses.
   obs::trace_span probe_span(probe_ns, obs::stage::bucket_probe);
-  const std::size_t n = bucket.member_count;
+  const std::size_t reps = bucket.rep_labels.size();
   const auto clusters = static_cast<std::size_t>(bucket.cluster_count);
-  // The member row, then one entry per cluster for the select.
-  std::vector<std::uint32_t> scratch(n + clusters);
+  // The member row, the representative row (empty outside bundle mode),
+  // then one entry per cluster for the select.
+  std::vector<std::uint32_t> scratch(n + reps + clusters);
   std::uint32_t* const counts = scratch.data();
-  const std::span<std::uint32_t> per_cluster(counts + n, clusters);
-  hdc::kernels::hamming_tile_packed(hv.words().data(), 1, bucket.packed.data(), n,
-                                    bucket.hv_words, counts);
+  hdc::kernels::hamming_tile_packed(hv.words().data(), 1, bucket.packed.data(), n, words,
+                                    counts);
 
   const double dim = static_cast<double>(hv.dim());
   for (std::size_t i = 0; i < n; ++i) {
@@ -551,28 +503,19 @@ query_result shard::query(const hdc::hypervector& hv, std::int64_t bucket_key,
   }
   probe_span.finish();
 
+  // Select over the rows assign() selects over: the clusters' majority
+  // rows in bundle mode, the members otherwise.
   obs::trace_span select_span(select_ns, obs::stage::select);
-  core::linkage_pick pick;
+  std::span<const std::uint32_t> row(counts, n);
+  std::span<const std::int32_t> labels = bucket.labels;
   if (mode_ == core::assign_mode::bundle_representative) {
-    // Bundle mode assigns against per-cluster majority representatives;
-    // query the same way (one tiny tile over the reps). Tie semantics
-    // match assign(): ascending label order, `<=` keeps the later label.
-    hdc::kernels::hamming_tile_packed(hv.words().data(), 1, bucket.rep_packed.data(),
-                                      clusters, bucket.hv_words, per_cluster.data());
-    double best = threshold;
-    for (std::size_t c = 0; c < clusters; ++c) {
-      const double d = static_cast<double>(per_cluster[c]) / dim;
-      if (d <= best) {
-        best = d;
-        pick.label = static_cast<std::int32_t>(c);
-        pick.distance = d;
-      }
-    }
-  } else {
-    // The criterion assign() applies, from the one routine that writes it.
-    pick = core::complete_linkage_select({counts, n}, bucket.labels, bucket.cluster_count,
-                                         hv.dim(), threshold, per_cluster);
+    hdc::kernels::hamming_tile_packed(hv.words().data(), 1, bucket.rep_packed.data(), reps,
+                                      words, counts + n);
+    row = {counts + n, reps};
+    labels = bucket.rep_labels;
   }
+  const auto pick = core::complete_linkage_select(row, labels, bucket.cluster_count, hv.dim(),
+                                                  threshold, {counts + n + reps, clusters});
   if (pick.label >= 0) {
     result.matched = true;
     result.local_label = pick.label;

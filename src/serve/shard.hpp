@@ -7,8 +7,8 @@
 //                            │ one writer thread pops in order
 //                            ▼
 //                  incremental_clusterer (single owner)
-//                            │ after each batch: rebuild views of the
-//                            │ buckets the batch touched (copy-on-write)
+//                            │ after each batch: copy the bucket_rows of
+//                            │ the buckets push_batch reports (copy-on-write)
 //                            ▼
 //                  rcu_ptr<shard_view> ◀──load── query threads (lock-free
 //                                                 reads, never block ingest)
@@ -18,8 +18,8 @@
 // ingestion order is exactly enqueue order — which is what makes the
 // sharded service bit-identical to a sequential clusterer per bucket.
 // Queries run against whatever view epoch is published; a view is a frozen
-// copy (packed member hypervectors + labels per bucket), so a query sees a
-// consistent prefix of the ingest stream, never a torn state.
+// copy of each bucket's core::bucket_rows, so a query sees a consistent
+// prefix of the ingest stream, never a torn state.
 #pragma once
 
 #include <atomic>
@@ -39,24 +39,11 @@
 
 namespace spechd::serve {
 
-/// Frozen query view of one bucket: a copy of the clusterer bucket's
-/// packed member rows (hamming_tile_packed's operand layout) + cluster labels.
-struct bucket_view {
-  std::size_t hv_words = 0;
-  std::size_t member_count = 0;
-  std::vector<std::uint64_t> packed;  ///< member_count * hv_words, arrival order
-  std::vector<std::int32_t> labels;   ///< local cluster label per member
-  std::int32_t cluster_count = 0;
-  /// bundle_representative mode only: the majority-bundled representative
-  /// of each local cluster, label-indexed, packed like `packed`
-  /// (cluster_count * hv_words). Empty in complete_linkage mode.
-  std::vector<std::uint64_t> rep_packed;
-};
-
-/// Frozen view of one shard. Buckets are shared_ptr so an epoch swap only
-/// copies the map and the *changed* buckets (copy-on-write).
+/// Frozen view of one shard: a copy of each bucket's rows as the clusterer
+/// held them. Buckets are shared_ptr so an epoch swap only copies the map
+/// and the *changed* buckets (copy-on-write).
 struct shard_view {
-  std::map<std::int64_t, std::shared_ptr<const bucket_view>> buckets;
+  std::map<std::int64_t, std::shared_ptr<const core::bucket_rows>> buckets;
   std::size_t record_count = 0;
   std::size_t cluster_count = 0;
   /// Buckets awaiting a recluster (ingestion marked them dirty); the
@@ -137,12 +124,9 @@ class shard {
 public:
   /// Starts the writer thread. `config.threads` sizes the clusterer's
   /// internal pool (the service passes 1: parallelism comes from shards).
-  /// `publish_every` coalesces view republishing: views are rebuilt after
-  /// every `publish_every`-th applied batch *and* whenever the ingest
-  /// queue runs empty, so an idle or drained shard always publishes its
-  /// latest state while a backlogged shard skips per-tiny-batch rebuilds.
+  /// Every applied batch publishes a view epoch.
   shard(std::size_t id, const core::spechd_config& config, core::assign_mode mode,
-        std::size_t queue_capacity, std::size_t publish_every = 1);
+        std::size_t queue_capacity);
 
   /// Closes the queue, drains remaining jobs, joins the writer.
   ~shard();
@@ -188,19 +172,17 @@ public:
   bool heal_degraded();
 
   /// Waits until every previously enqueued job has been applied and its
-  /// view published (coalesced republishes are flushed, so after drain()
-  /// the view reflects every applied batch) and the journal — when one is
-  /// attached — is fsynced past every applied record; then rethrows the
-  /// first ingest error if any occurred.
+  /// view published (so after drain() the view reflects every applied
+  /// batch) and the journal — when one is attached — is fsynced past every
+  /// applied record; then rethrows the first ingest error if any occurred.
   void drain();
 
   /// Runs `fn` on the writer thread after all earlier jobs (so it sees a
   /// quiescent clusterer at a well-defined point in the stream). Blocks
   /// until done; rethrows fn's exception. Snapshot export/import and
   /// maintenance reclustering use this instead of external locking.
-  /// `republish` (default) rebuilds *all* bucket views afterwards — pass
-  /// false only when fn is read-only; coalesced ingest republishes are
-  /// still flushed then, so the view is current either way.
+  /// `republish` (default) copies *all* bucket rows into a new view
+  /// afterwards — pass false only when fn is read-only.
   void run_exclusive(const std::function<void(core::incremental_clusterer&)>& fn,
                      bool republish = true);
 
@@ -248,11 +230,10 @@ public:
 
   /// Query against the published view using *the same criterion ingest
   /// assignment uses* — so "query then ingest" agrees with the assignment
-  /// the spectrum would get. In complete_linkage mode:
-  /// core::complete_linkage_select over the bucket's member row (the
-  /// cluster whose worst member distance to `hv` is smallest, matched if
-  /// it passes `threshold`). In bundle_representative mode: the cluster whose
-  /// majority-bundled representative is nearest. Safe from any thread.
+  /// the spectrum would get: core::complete_linkage_select over one packed
+  /// Hamming-tile row against the bucket's members (complete_linkage) or
+  /// its clusters' majority rows (bundle_representative), matched if the
+  /// pick passes `threshold`. Safe from any thread.
   query_result query(const hdc::hypervector& hv, std::int64_t bucket_key,
                      double threshold) const;
 
@@ -271,26 +252,22 @@ private:
   /// done and rethrows fn's exception (the plumbing under run_exclusive,
   /// attach/rotate, and drain).
   void run_on_writer(std::function<void()> fn);
-  /// Rebuilds and publishes views; `all` forces every bucket (labels may
-  /// have changed), otherwise only buckets whose shape grew are rebuilt.
-  void publish(bool all);
-  /// Publishes now if republishing was coalesced (writer thread only).
-  void flush_publish();
+  /// Publishes a new view epoch. `touched` names the buckets whose rows
+  /// changed since the last publish: the view copies their rows and
+  /// shares every other bucket with the previous epoch. Null copies every
+  /// bucket afresh — after an import, a recluster or a failed apply, any
+  /// bucket may have changed or gone.
+  void publish(const std::vector<std::int64_t>* touched);
   /// Mirrors health/journal position/queue depth into the crash-dump
   /// status table (obs::status_shard) — relaxed stores only.
   void update_status() const;
 
   std::size_t id_;
   core::assign_mode mode_;
-  std::size_t publish_every_;
   core::incremental_clusterer clusterer_;  ///< writer-thread-owned
   std::unique_ptr<journal_writer> journal_;  ///< writer-thread-owned after attach
   mpsc_queue<std::function<void()>> queue_;
   rcu_ptr<shard_view> view_;
-  std::size_t pending_publishes_ = 0;  ///< batches since last publish (writer-thread-only)
-  /// (member count, cluster count) per bucket at the last publish; lets
-  /// ingest-only publishes skip untouched buckets. Writer-thread-only.
-  std::map<std::int64_t, std::pair<std::size_t, std::int32_t>> published_shape_;
   std::uint64_t epoch_ = 0;  ///< writer-thread-only
 
   std::atomic<std::size_t> ingested_{0};

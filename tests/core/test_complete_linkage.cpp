@@ -206,12 +206,12 @@ TEST(CompleteLinkageSelect, PushIntoImportedStateWithLabelGapsFollowsOracle) {
         counts.push_back(
             static_cast<std::uint32_t>(hdc::hamming(hv, store.at(bucket.members[i]).hv)));
       }
-      const std::vector<std::int32_t> labels(bucket.local_labels.begin(),
-                                             bucket.local_labels.begin() +
+      const std::vector<std::int32_t> labels(bucket.rows.labels.begin(),
+                                             bucket.rows.labels.begin() +
                                                  static_cast<std::ptrdiff_t>(existing));
       const auto want = map_oracle(counts, labels, hv.dim(), config.distance_threshold);
       const auto expected = want.label >= 0 ? want.label : clusters_before;
-      EXPECT_EQ(bucket.local_labels.back(), expected) << "spectrum " << s;
+      EXPECT_EQ(bucket.rows.labels.back(), expected) << "spectrum " << s;
       if (want.label >= 0 && gapped_keys.count(bucket.key) != 0) ++joined_gapped;
     });
     EXPECT_TRUE(found) << "spectrum " << s;

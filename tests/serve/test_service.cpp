@@ -134,50 +134,13 @@ TEST(ClusteringService, QueryFindsIngestedSpectra) {
   EXPECT_EQ(encodable, service.stats().record_count);
 }
 
-TEST(ClusteringService, BundleModeQueryUsesRepresentatives) {
-  // In bundle_representative mode, queries must apply the same criterion
-  // as assignment: distance to each cluster's majority representative.
-  const auto stream = sample_stream(24, 5);
-  serve_config sc;
-  sc.pipeline = small_config();
-  sc.mode = core::assign_mode::bundle_representative;
-  sc.shards = 2;
-  clustering_service service(sc);
-  service.ingest(stream);
-  service.drain();
-
-  // "Query then ingest" agreement: pushing the queried spectrum into a
-  // clusterer holding exactly the service's state must join an existing
-  // cluster iff the query reported a match. Each probe gets a fresh
-  // clusterer (import of the same base state) so probes don't interact.
-  core::incremental_clusterer base(sc.pipeline, core::assign_mode::bundle_representative);
-  base.add_spectra(stream);
-  const auto base_state = base.export_state();
-
-  std::size_t matched = 0;
-  for (std::size_t i = 0; i < stream.size(); i += 7) {
-    const auto& s = stream[i];
-    const auto r = service.query(s);
-    if (!r.encodable) continue;
-    core::incremental_clusterer probe(sc.pipeline,
-                                      core::assign_mode::bundle_representative);
-    probe.import_state(base_state);
-    const auto report = probe.push(s);
-    EXPECT_EQ(report.joined_existing == 1, r.matched) << "spectrum " << i;
-    if (r.matched) {
-      ++matched;
-      EXPECT_LE(r.distance, sc.pipeline.distance_threshold);
-    }
-  }
-  EXPECT_GT(matched, 0U);
-}
-
-TEST(ClusteringService, CompleteLinkageQueryAgreesWithAssignment) {
-  // Default mode: a query must answer what ingesting the spectrum would
-  // do. A probe clusterer holding exactly the queried shard's state pushes
-  // the spectrum; it must join an existing cluster iff the query matched,
-  // and then the same local label. Fresh probe per query, as above. One
-  // spectrum in four is held out of ingest, so queries also miss.
+/// A query must answer what ingesting the spectrum would do. A probe
+/// clusterer holding exactly the queried shard's exported state pushes the
+/// spectrum; it must join an existing cluster iff the query matched, and
+/// then the same local label, whose size the query reports. Fresh probe
+/// per query, so probes don't interact. One spectrum in four is held out
+/// of ingest, so queries also miss.
+void expect_query_agrees_with_assignment(core::assign_mode mode) {
   const auto stream = sample_stream(24, 5);
   std::vector<ms::spectrum> ingested;
   for (std::size_t i = 0; i < stream.size(); ++i) {
@@ -185,6 +148,7 @@ TEST(ClusteringService, CompleteLinkageQueryAgreesWithAssignment) {
   }
   serve_config sc;
   sc.pipeline = small_config();
+  sc.mode = mode;
   sc.shards = 2;
   clustering_service service(sc);
   service.ingest(ingested);
@@ -197,7 +161,7 @@ TEST(ClusteringService, CompleteLinkageQueryAgreesWithAssignment) {
     const auto& s = stream[i];
     const auto r = service.query(s);
     if (!r.encodable) continue;
-    core::incremental_clusterer probe(sc.pipeline);
+    core::incremental_clusterer probe(sc.pipeline, mode);
     probe.import_state(states.at(r.shard));
     const auto report = probe.push(s);
     ASSERT_EQ(report.added, 1U) << "spectrum " << i;
@@ -207,10 +171,10 @@ TEST(ClusteringService, CompleteLinkageQueryAgreesWithAssignment) {
       if (bucket.key != r.bucket_key) return;
       found = true;
       if (!r.matched) return;
-      EXPECT_EQ(bucket.local_labels.back(), r.local_label) << "spectrum " << i;
+      const auto& labels = bucket.rows.labels;
+      EXPECT_EQ(labels.back(), r.local_label) << "spectrum " << i;
       // The query counts the members it saw; the push added one more.
-      const auto members = std::count(bucket.local_labels.begin(),
-                                      bucket.local_labels.end() - 1, r.local_label);
+      const auto members = std::count(labels.begin(), labels.end() - 1, r.local_label);
       EXPECT_EQ(r.cluster_size, static_cast<std::size_t>(members)) << "spectrum " << i;
     });
     EXPECT_TRUE(found) << "spectrum " << i;
@@ -223,6 +187,16 @@ TEST(ClusteringService, CompleteLinkageQueryAgreesWithAssignment) {
   }
   EXPECT_GT(matched, 0U);
   EXPECT_GT(unmatched, 0U);
+}
+
+TEST(ClusteringService, BundleModeQueryAgreesWithAssignment) {
+  // Bundle mode assigns against each cluster's majority representative;
+  // queries must select over the same rows.
+  expect_query_agrees_with_assignment(core::assign_mode::bundle_representative);
+}
+
+TEST(ClusteringService, CompleteLinkageQueryAgreesWithAssignment) {
+  expect_query_agrees_with_assignment(core::assign_mode::complete_linkage);
 }
 
 TEST(ClusteringService, QueryAgainstEmptyServiceIsClean) {
@@ -296,66 +270,51 @@ TEST(ClusteringService, ConcurrentIngestAndQueryIsSafe) {
   }
 }
 
-// Query-visibility semantics under publish coalescing, pinned:
-//  * publish_every = 1 (default): one view epoch per applied batch;
-//  * publish_every = N: while a backlog exists, views republish only
-//    every N-th batch — but a batch applied with an *empty* queue always
-//    publishes, so an idle shard's view is current;
-//  * drain() always flushes: after drain, the view reflects every
-//    applied batch regardless of N.
-TEST(ClusteringService, PublishEveryCoalescesViewRepublish) {
+TEST(ClusteringService, OneViewEpochPerAppliedBatch) {
+  // Query visibility, pinned: every applied batch publishes its own view
+  // epoch, also while a backlog is queued behind it, and after drain()
+  // the view reflects every applied batch.
   const auto stream = sample_stream(12, 7);
   const auto config = small_config();
   const auto batch_of = [&](std::size_t i) {
     return std::vector<ms::spectrum>{stream.begin() + static_cast<std::ptrdiff_t>(i * 8),
                                      stream.begin() + static_cast<std::ptrdiff_t>(i * 8 + 8)};
   };
+  shard sh(0, config, core::assign_mode::complete_linkage, /*queue_capacity=*/8);
 
-  for (const auto& [publish_every, expected_epochs] :
-       std::vector<std::pair<std::size_t, std::uint64_t>>{{1, 3}, {3, 1}, {100, 1}}) {
-    SCOPED_TRACE("publish_every=" + std::to_string(publish_every));
-    shard sh(0, config, core::assign_mode::complete_linkage, /*queue_capacity=*/8,
-             publish_every);
+  // Park the writer on a blocking job so three batches pile up behind it:
+  // batches 1 and 2 are then applied with a non-empty queue.
+  std::promise<void> release;
+  std::atomic<bool> started{false};
+  auto release_future = release.get_future().share();
+  std::thread blocker([&] {
+    sh.run_exclusive(
+        [&](core::incremental_clusterer&) {
+          started = true;
+          release_future.wait();
+        },
+        /*republish=*/false);
+  });
+  while (!started) std::this_thread::yield();
 
-    // Park the writer on a blocking job so three batches pile up behind
-    // it — the coalescing decision then sees a non-empty queue
-    // deterministically (batch 1 and 2) and an empty one for batch 3.
-    std::promise<void> release;
-    std::atomic<bool> started{false};
-    auto release_future = release.get_future().share();
-    std::thread blocker([&] {
-      sh.run_exclusive(
-          [&](core::incremental_clusterer&) {
-            started = true;
-            release_future.wait();
-          },
-          /*republish=*/false);
-    });
-    while (!started) std::this_thread::yield();
+  for (std::size_t b = 0; b < 3; ++b) sh.enqueue(batch_of(b));
+  const auto epoch_before = sh.view()->epoch;
+  release.set_value();
+  blocker.join();
+  sh.drain();
 
-    for (std::size_t b = 0; b < 3; ++b) sh.enqueue(batch_of(b));
-    const auto epoch_before = sh.view()->epoch;
-    release.set_value();
-    blocker.join();
-    sh.drain();
-
-    // publish_every=1 → every batch published; 3 → exactly the third
-    // (threshold); 100 → only the queue-empty flush on the third.
-    EXPECT_EQ(sh.view()->epoch - epoch_before, expected_epochs);
-    // Whatever the cadence, after drain the view is complete.
-    EXPECT_EQ(sh.view()->record_count, sh.stats().ingested);
-    EXPECT_GT(sh.view()->record_count, 0U);
-  }
+  EXPECT_EQ(sh.view()->epoch - epoch_before, 3U);
+  EXPECT_EQ(sh.view()->record_count, sh.stats().ingested);
+  EXPECT_GT(sh.view()->record_count, 0U);
 }
 
-TEST(ClusteringService, DrainFlushesCoalescedPublishes) {
-  // Service-level guarantee: with a large publish_every, drain() still
-  // leaves views reflecting every ingested spectrum (flush on drain).
+TEST(ClusteringService, DrainLeavesViewComplete) {
+  // Service-level guarantee: after drain(), views reflect every ingested
+  // spectrum.
   const auto stream = sample_stream(16, 19);
   serve_config sc;
   sc.pipeline = small_config();
   sc.shards = 2;
-  sc.publish_every = 1000;
   clustering_service service(sc);
   for (std::size_t offset = 0; offset < stream.size(); offset += 8) {
     const auto end = std::min(offset + 8, stream.size());
@@ -367,8 +326,8 @@ TEST(ClusteringService, DrainFlushesCoalescedPublishes) {
   EXPECT_EQ(stats.record_count, stats.ingested);
   EXPECT_GT(stats.record_count, 0U);
 
-  // And queries see the drained state (same count as an always-publish
-  // service would report).
+  // And queries see the drained state: every ingested spectrum finds
+  // itself.
   std::size_t hits = 0;
   for (const auto& s : stream) {
     const auto r = service.query(s);

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -267,33 +268,117 @@ TEST(Snapshot, BundleModeRoundTripsAndResumes) {
   EXPECT_THROW(wrong_mode.restore_file(snap.path), parse_error);
 }
 
+TEST(Snapshot, BundleModeRestoresLabelGaps) {
+  // import_state accepts labels that skip a value below next_local. In
+  // bundle mode such a label has no representative: the restore must
+  // still publish every bucket, queries must answer what a push would,
+  // and resumed ingest must equal the same state resumed without the
+  // snapshot round trip.
+  const auto stream = sample_stream();
+  const std::size_t split = stream.size() / 2;
+  auto sc = make_serve_config(1);
+  sc.mode = core::assign_mode::bundle_representative;
+  const std::vector<ms::spectrum> rest(stream.begin() + static_cast<std::ptrdiff_t>(split),
+                                       stream.end());
+
+  temp_path snap("bundle_gap");
+  core::clusterer_state gapped;
+  std::set<std::int64_t> gapped_keys;
+  {
+    clustering_service source(sc);
+    ingest_in_batches(source, stream, 0, split);
+    auto states = source.export_states();
+    ASSERT_EQ(states.size(), 1U);
+    gapped = std::move(states[0]);
+    // Move label 0 to next_local wherever the bound next_local <= members
+    // leaves room: label 0 is then a gap below next_local.
+    for (auto& bucket : gapped.buckets) {
+      if (static_cast<std::size_t>(bucket.next_local) >= bucket.members.size()) continue;
+      for (auto& label : bucket.local_labels) label = label == 0 ? bucket.next_local : label;
+      ++bucket.next_local;
+      gapped_keys.insert(bucket.key);
+    }
+    ASSERT_FALSE(gapped_keys.empty());
+    write_snapshot_file(snap.path, source.identity(), {gapped});
+  }
+
+  clustering_service restored(sc);
+  restored.restore_file(snap.path);
+  std::size_t joined_gapped = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const auto r = restored.query(stream[i]);
+    if (!r.encodable) continue;
+    core::incremental_clusterer probe(sc.pipeline, sc.mode);
+    probe.import_state(gapped);
+    const auto report = probe.push(stream[i]);
+    ASSERT_EQ(report.added, 1U) << "spectrum " << i;
+    EXPECT_EQ(report.joined_existing == 1, r.matched) << "spectrum " << i;
+    if (!r.matched) continue;
+    EXPECT_EQ(probe.rows(r.bucket_key).labels.back(), r.local_label) << "spectrum " << i;
+    joined_gapped += gapped_keys.count(r.bucket_key);
+  }
+  EXPECT_GT(joined_gapped, 0U);
+
+  ingest_in_batches(restored, stream, split, stream.size());
+  core::incremental_clusterer reference(sc.pipeline, sc.mode);
+  reference.import_state(gapped);
+  reference.add_spectra(rest);
+  EXPECT_EQ(canonical_state(restored.export_states()),
+            canonical_state({reference.export_state()}));
+}
+
 TEST(Snapshot, ImportStateValidatesPartition) {
   // import_state is the last line of defence under restore: a state whose
-  // buckets don't partition the records must be rejected untouched.
+  // buckets don't partition the records, or whose next_local leaves
+  // [0, members], must be rejected, leaving the instance untouched.
   const auto config = small_config();
   core::incremental_clusterer clusterer(config);
   clusterer.add_spectra(sample_stream());
   auto state = clusterer.export_state();
   ASSERT_FALSE(state.buckets.empty());
 
+  core::incremental_clusterer held(config);
+  held.import_state(state);
+  const auto held_bytes = canonical_state({held.export_state()});
+  const auto expect_rejected = [&](core::clusterer_state broken, const char* what) {
+    EXPECT_THROW(held.import_state(std::move(broken)), spechd::error) << what;
+    EXPECT_EQ(canonical_state({held.export_state()}), held_bytes) << what;
+  };
   {
     auto broken = state;
-    broken.buckets[0].local_labels[0] = broken.buckets[0].next_local;  // label OOB
-    core::incremental_clusterer fresh(config);
-    EXPECT_THROW(fresh.import_state(std::move(broken)), spechd::error);
+    broken.buckets[0].local_labels[0] = broken.buckets[0].next_local;
+    expect_rejected(std::move(broken), "label out of range");
   }
   {
     auto broken = state;
-    broken.buckets[0].members.pop_back();  // orphaned record
+    broken.buckets[0].members.pop_back();
     broken.buckets[0].local_labels.pop_back();
-    core::incremental_clusterer fresh(config);
-    EXPECT_THROW(fresh.import_state(std::move(broken)), spechd::error);
+    expect_rejected(std::move(broken), "orphaned record");
   }
   {
     auto broken = state;
-    broken.buckets[0].key += 1;  // key no longer matches the records
-    core::incremental_clusterer fresh(config);
-    EXPECT_THROW(fresh.import_state(std::move(broken)), spechd::error);
+    broken.buckets[0].key += 1;
+    expect_rejected(std::move(broken), "key no longer matches the records");
+  }
+  {
+    // No label to check it against: only the bound catches it.
+    auto broken = state;
+    core::bucket_snapshot empty;
+    empty.key = broken.buckets.back().key + 1;
+    empty.next_local = -3;
+    broken.buckets.push_back(empty);
+    expect_rejected(std::move(broken), "negative next_local on an empty bucket");
+  }
+  auto oversized = state;
+  oversized.buckets[0].next_local = 50'000'000;  // every label stays below it
+  expect_rejected(oversized, "next_local above the member count");
+
+  // restore_file reaches the same check through a CRC-valid snapshot.
+  {
+    clustering_service victim(make_serve_config(1));
+    temp_path snap("next_local");
+    write_snapshot_file(snap.path, victim.identity(), {oversized});
+    EXPECT_THROW(victim.restore_file(snap.path), spechd::error);
   }
 
   // And the intact state imports and keeps behaving identically.

@@ -148,7 +148,7 @@ void print_usage(std::ostream& out) {
       "                 [--float] [--threads N]\n"
       "  spechd serve   [--shards N] [--batch B] [--queue N] [--threads N]\n"
       "                 [-t threshold] [--restore in.sphsnap]\n"
-      "                 [--journal-dir DIR] [--publish-every N] [--atomic]\n"
+      "                 [--journal-dir DIR] [--atomic]\n"
       "                 [--failpoints SPEC] [--failpoint-seed S]\n"
       "                 [--ingest spectra-file]... [--query spectra-file]\n"
       "                 [--snapshot out.sphsnap] [--listen HOST:PORT]\n"
@@ -712,7 +712,6 @@ int cmd_serve(arg_list& args) {
   if (const auto v = args.take_option("--threads")) config.pipeline.threads = std::stoul(*v);
   const auto threshold_flag = args.take_option("-t");
   if (threshold_flag) config.pipeline.distance_threshold = std::stod(*threshold_flag);
-  if (const auto v = args.take_option("--publish-every")) config.publish_every = std::stoul(*v);
   if (const auto v = args.take_option("--journal-dir")) config.journal.dir = *v;
   if (args.take_flag("--atomic")) config.atomic_ingest = true;
   if (const int rc = arm_failpoint_flags(args, "serve")) return rc;
@@ -758,10 +757,6 @@ int cmd_serve(arg_list& args) {
   }
   if (batch_size == 0) {
     std::cerr << "serve: --batch must be >= 1\n";
-    return 2;
-  }
-  if (config.publish_every == 0) {
-    std::cerr << "serve: --publish-every must be >= 1\n";
     return 2;
   }
   if (metrics_log_secs > 0 && !listen) {
