@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -299,6 +301,214 @@ TEST(NetProtocol, HelloRejectsBadMagicAndShortBody) {
   short_payload.resize(short_payload.size() - 2);
   EXPECT_EQ(parse_hello_request(decode_one(raw_frame(short_payload))),
             hello_status::malformed);
+}
+
+// --- golden bytes -------------------------------------------------------------
+
+/// One encoded frame plus the parser for its body (empty for bodies that
+/// are empty or that no peer parses).
+struct encoded_frame {
+  const char* name;
+  std::string bytes;
+  std::function<bool(const frame_view&)> parse;
+};
+
+/// Every message kind from fixed inputs, plus the empty-batch and
+/// bucketless-histogram edge cases.
+std::vector<encoded_frame> golden_inputs() {
+  std::vector<encoded_frame> frames;
+  const auto add = [&](const char* name, auto encode,
+                       std::function<bool(const frame_view&)> parse = {}) {
+    std::string bytes;
+    encode(bytes);
+    frames.push_back({name, std::move(bytes), std::move(parse)});
+  };
+
+  add("hello", [](std::string& o) { encode_hello_request(o, 1); },
+      [](const frame_view& f) { return parse_hello_request(f) == hello_status::ok; });
+  add("hello_ok", [](std::string& o) { encode_hello_response(o, 2); });
+  add("ping", [](std::string& o) { encode_ping(o, 3); });
+  add("pong", [](std::string& o) { encode_pong(o, 4); });
+
+  std::vector<ms::spectrum> batch = {sample_spectrum(), sample_spectrum()};
+  batch[1].title.clear();
+  batch[1].peaks.clear();
+  batch[1].precursor_charge = -3;
+  const auto parse_batch = [](const frame_view& f) {
+    std::vector<ms::spectrum> decoded;
+    return parse_ingest_request(f, decoded);
+  };
+  add("ingest", [&](std::string& o) { encode_ingest_request(o, 5, batch); }, parse_batch);
+  add("ingest_empty", [](std::string& o) { encode_ingest_request(o, 6, {}); },
+      parse_batch);
+  add("ingest_ok", [](std::string& o) { encode_ingest_response(o, 7, 123456789); },
+      [](const frame_view& f) {
+        std::uint64_t accepted = 0;
+        return parse_ingest_response(f, accepted);
+      });
+
+  const auto parse_spectrum = [](const frame_view& f) {
+    ms::spectrum s;
+    return parse_query_request(f, s);
+  };
+  add("query", [](std::string& o) { encode_query_request(o, 8, sample_spectrum()); },
+      parse_spectrum);
+  serve::query_result result;
+  result.encodable = true;
+  result.matched = true;
+  result.bucket_key = -1048;
+  result.shard = 3;
+  result.local_label = 12;
+  result.distance = 0.125;
+  result.nearest_member = 0.0625;
+  result.cluster_size = 9;
+  result.view_epoch = 31;
+  add("query_ok", [&](std::string& o) { encode_query_response(o, 9, result); },
+      [](const frame_view& f) {
+        serve::query_result r;
+        return parse_query_response(f, r);
+      });
+
+  add("query_topk",
+      [](std::string& o) { encode_search_request(o, 10, sample_spectrum(), 5, 150.25); },
+      [](const frame_view& f) {
+        ms::spectrum s;
+        std::uint32_t top_k = 0;
+        double tolerance = 0.0;
+        return parse_search_request(f, s, top_k, tolerance);
+      });
+  serve::search_result search;
+  search.buckets_probed = 4;
+  search.candidates = 311;
+  search.hits = {{17, 204, 0.19921875, -1048, 523.77, 2, "LVEYK/2"},
+                 {3, 260, 0.25390625, 9001, 611.5, 3, ""}};
+  add("query_topk_ok", [&](std::string& o) { encode_search_response(o, 11, search); },
+      [](const frame_view& f) {
+        serve::search_result r;
+        return parse_search_response(f, r);
+      });
+
+  add("get_metrics", [](std::string& o) { encode_metrics_request(o, 12); });
+  wire_metrics metrics;
+  metrics.snapshot.counters = {{"spechd_a_total", 42}, {"spechd_b_total", 0}};
+  metrics.snapshot.gauges = {{"spechd_depth", -7}};
+  metrics.snapshot.histograms = {
+      {"spechd_latency_ns", "ns", 3, 1234567, {{0, 0, 1}, {4096, 4351, 2}}}};
+  metrics.slow = {{"ingest", 99, 50'000'000,
+                   {{obs::stage::net_parse, 1000}, {obs::stage::enqueue, 49'000'000}}},
+                  {"query", 100, 12'000'000, {}}};
+  const auto parse_metrics = [](const frame_view& f) {
+    wire_metrics m;
+    return parse_metrics_response(f, m);
+  };
+  add("metrics_ok", [&](std::string& o) { encode_metrics_response(o, 13, metrics); },
+      parse_metrics);
+  wire_metrics bucketless;
+  bucketless.snapshot.histograms = {{"spechd_empty_ns", "ns", 0, 0, {}}};
+  add("metrics_ok_bucketless",
+      [&](std::string& o) { encode_metrics_response(o, 14, bucketless); }, parse_metrics);
+
+  add("get_debug_dump", [](std::string& o) { encode_debug_dump_request(o, 15); });
+  wire_debug_dump dump;
+  dump.total_events_recorded = 4097;
+  obs::flight_event event;
+  event.seq = 4096;
+  event.steady_ns = 111;
+  event.wall_ns = 222;
+  event.request_id = 333;
+  event.arg0 = 444;
+  event.arg1 = 555;
+  event.thread_id = 666;
+  event.kind = 3;
+  dump.events = {event, event};
+  dump.events[1].seq = 4097;
+  dump.events[1].kind = obs::k_event_kind_max;
+  dump.shards = {{0, 0, 2, 76, 1, 0}, {1, 1, 2, 23554, 9, 3}};
+  dump.stalled = {"shard-1/writer", ""};
+  add("debug_dump_ok", [&](std::string& o) { encode_debug_dump_response(o, 16, dump); },
+      [](const frame_view& f) {
+        wire_debug_dump d;
+        return parse_debug_dump_response(f, d);
+      });
+
+  add("stats", [](std::string& o) { encode_stats_request(o, 17); });
+  const wire_stats stats{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  add("stats_ok", [&](std::string& o) { encode_stats_response(o, 18, stats); },
+      [](const frame_view& f) {
+        wire_stats s;
+        return parse_stats_response(f, s);
+      });
+  add("drain", [](std::string& o) { encode_drain_request(o, 19); });
+  add("drain_ok", [](std::string& o) { encode_drain_response(o, 20); });
+  add("error",
+      [](std::string& o) {
+        encode_error_response(o, 21, error_code::malformed, "ingest body did not parse");
+      },
+      [](const frame_view& f) {
+        error_code code{};
+        std::string message;
+        return parse_error_response(f, code, message);
+      });
+  return frames;
+}
+
+/// Frame length and CRC-32 over the whole frame (header included), taken
+/// from the hand-written codec this layout was first shipped with.
+struct golden_digest {
+  const char* name;
+  std::size_t bytes;
+  std::uint32_t crc;
+};
+
+constexpr golden_digest k_golden_frames[] = {
+    {"hello", 29, 0x9ad45a25u},
+    {"hello_ok", 21, 0x88202b1eu},
+    {"ping", 17, 0xfa33e604u},
+    {"pong", 17, 0x8d38d800u},
+    {"ingest", 162, 0x81ff28ffu},
+    {"ingest_empty", 25, 0x348fab10u},
+    {"ingest_ok", 25, 0xe130c202u},
+    {"query", 114, 0x3727d31bu},
+    {"query_ok", 71, 0x3d86f72fu},
+    {"query_topk", 126, 0xc129be7eu},
+    {"query_topk_ok", 125, 0x73f680fcu},
+    {"get_metrics", 17, 0x6d3b1e98u},
+    {"metrics_ok", 281, 0xee011f38u},
+    {"metrics_ok_bucketless", 78, 0x570fd82eu},
+    {"get_debug_dump", 17, 0x98f9eb1bu},
+    {"debug_dump_ok", 245, 0xf91d36afu},
+    {"stats", 17, 0x6a35904au},
+    {"stats_ok", 97, 0xf0c631f4u},
+    {"drain", 17, 0xcc2107cfu},
+    {"drain_ok", 17, 0xbb2a39cbu},
+    {"error", 48, 0xf3fa21d5u},
+};
+
+TEST(NetProtocol, EveryFrameMatchesGoldenBytes) {
+  // Round trips cannot catch a layout change made on both sides at once;
+  // these digests pin the bytes themselves. Every proper prefix of a
+  // parsed body must also be rejected.
+  const auto frames = golden_inputs();
+  ASSERT_EQ(frames.size(), std::size(k_golden_frames));
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto& f = frames[i];
+    SCOPED_TRACE(f.name);
+    EXPECT_STREQ(f.name, k_golden_frames[i].name);
+    const auto crc = crc32(f.bytes.data(), f.bytes.size());
+    EXPECT_EQ(f.bytes.size(), k_golden_frames[i].bytes);
+    EXPECT_EQ(crc, k_golden_frames[i].crc);
+    const auto frame = decode_one(f.bytes);
+    if (!f.parse) {
+      EXPECT_TRUE(frame.body_bytes == 0 || frame.type == msg_type::hello_ok);
+      continue;
+    }
+    EXPECT_TRUE(f.parse(frame));
+    for (std::size_t len = 0; len < frame.body_bytes; ++len) {
+      frame_view prefix = frame;
+      prefix.body_bytes = len;
+      EXPECT_FALSE(f.parse(prefix)) << "prefix " << len;
+    }
+  }
 }
 
 TEST(NetProtocol, DecodeConsumesFramesInSequence) {

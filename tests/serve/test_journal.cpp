@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "serve/recovery.hpp"
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 
@@ -130,6 +132,98 @@ TEST(Journal, RecordsRoundTripThroughWriterAndScanner) {
     ASSERT_EQ(replayed.peaks.size(), original.peaks.size());
     EXPECT_EQ(replayed.peaks, original.peaks);
   }
+}
+
+/// Record length and CRC-32 over the whole record (frame header included),
+/// taken from the hand-written record codec this layout was first shipped
+/// with. The first entry is the file header.
+struct golden_record {
+  const char* name;
+  std::size_t bytes;
+  std::uint32_t crc;
+};
+
+constexpr golden_record k_golden_records[] = {
+    {"header", 76, 0xfafbc8eau},
+    {"batch", 174, 0x29fa6f63u},
+    {"empty_batch", 37, 0x1742364bu},
+    {"txn_batch", 174, 0xe4bb72aau},
+    {"recluster", 17, 0x3c76f886u},
+    {"commit", 25, 0xc5a60e9du},
+};
+
+TEST(Journal, EveryRecordKindMatchesGoldenBytes) {
+  temp_dir dir("golden");
+  std::filesystem::create_directories(dir.path);
+  ms::spectrum s;
+  s.title = "scan=42 peptide=LVEYK";
+  s.scan = 42;
+  s.precursor_mz = 523.77;
+  s.precursor_charge = 2;
+  s.retention_time = 1234.5;
+  s.label = 7;
+  s.peaks = {{101.07, 1000.0f}, {202.12, 250.5f}, {303.19, 80.25f}};
+  ms::spectrum bare;
+  bare.precursor_charge = -3;
+  const std::vector<ms::spectrum> batch = {s, bare};
+
+  journal_file_header header;
+  header.shard_index = 1;
+  header.shard_count = 2;
+  header.generation = 3;
+  header.identity.dim = 1024;
+  header.identity.encoder_seed = 42;
+  header.identity.distance_threshold = 0.3;
+  header.identity.bucket_resolution = 1.0005;
+  header.identity.fallback_charge = 2;
+  header.identity.shard_count = 2;
+  header.identity.config_digest = 0xfeedbeef;
+  journal_head head;
+  head.path = journal_shard_path(dir.path, 1, 3);
+  head.next_seq = 10;
+  journal_config config;
+  config.fsync = false;
+
+  std::vector<std::uint64_t> ends;
+  {
+    journal_writer writer(head, header, config);
+    ends.push_back(writer.bytes());
+    writer.append_batch(batch);
+    ends.push_back(writer.bytes());
+    writer.append_batch({});
+    ends.push_back(writer.bytes());
+    writer.append_batch(batch, 77, 2);
+    ends.push_back(writer.bytes());
+    writer.append_recluster();
+    ends.push_back(writer.bytes());
+    writer.append_commit(77);
+    ends.push_back(writer.bytes());
+  }
+
+  std::ifstream in(head.path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  ASSERT_EQ(bytes.size(), ends.back());
+  ASSERT_EQ(ends.size(), std::size(k_golden_records));
+  std::uint64_t begin = 0;
+  for (std::size_t i = 0; i < ends.size(); ++i) {
+    SCOPED_TRACE(k_golden_records[i].name);
+    const auto crc = crc32(bytes.data() + begin, ends[i] - begin);
+    EXPECT_EQ(ends[i] - begin, k_golden_records[i].bytes);
+    EXPECT_EQ(crc, k_golden_records[i].crc);
+    begin = ends[i];
+  }
+
+  const auto scan = read_journal_file(head.path);
+  EXPECT_FALSE(scan.torn);
+  ASSERT_EQ(scan.records.size(), 5U);
+  EXPECT_EQ(scan.records[1].batch.size(), 0U);
+  EXPECT_EQ(scan.records[2].txn_id, 77U);
+  EXPECT_EQ(scan.records[2].participants, 2U);
+  EXPECT_EQ(scan.records[3].type, journal_record::kind::recluster);
+  EXPECT_EQ(scan.records[4].type, journal_record::kind::commit);
+  EXPECT_EQ(scan.records[4].txn_id, 77U);
+  EXPECT_EQ(scan.records[4].seq, 14U);
 }
 
 TEST(Journal, TornTailIsDetectedAndTruncatedToLastCompleteRecord) {
