@@ -5,7 +5,137 @@
 #include "ms/spectrum_wire.hpp"
 #include "util/crc32.hpp"
 #include "util/endian.hpp"
-#include "util/error.hpp"
+
+// Body layouts: one field list per body type, run by the codec's sizer,
+// writer and reader (ms/spectrum_wire.hpp).
+namespace spechd::ms {
+
+template <>
+struct wire<serve::query_result> {
+  template <typename V, typename R>
+  static bool fields(V& v, R& r) {
+    return v(as<std::uint8_t>(r.encodable), as<std::uint8_t>(r.matched), r.bucket_key,
+             as<std::uint64_t>(r.shard), r.local_label, r.distance, r.nearest_member,
+             as<std::uint64_t>(r.cluster_size), r.view_epoch);
+  }
+};
+
+template <>
+struct wire<serve::search_hit> {
+  template <typename V, typename R>
+  static bool fields(V& v, R& h) {
+    return v(h.id, h.hamming, h.distance, h.bucket_key, h.precursor_mz,
+             h.precursor_charge, h.name);
+  }
+};
+
+template <>
+struct wire<serve::search_result> {
+  template <typename V, typename R>
+  static bool fields(V& v, R& r) {
+    return v(as<std::uint8_t>(r.encodable), r.buckets_probed, r.candidates,
+             counted<std::uint32_t>(r.hits));
+  }
+};
+
+template <>
+struct wire<obs::counter_sample> {
+  template <typename V, typename R>
+  static bool fields(V& v, R& c) {
+    return v(c.name, c.value);
+  }
+};
+
+template <>
+struct wire<obs::gauge_sample> {
+  template <typename V, typename R>
+  static bool fields(V& v, R& g) {
+    return v(g.name, g.value);
+  }
+};
+
+template <>
+struct wire<obs::hist_bucket_sample> {
+  template <typename V, typename R>
+  static bool fields(V& v, R& b) {
+    return v(b.lo, b.hi, b.count);
+  }
+};
+
+template <>
+struct wire<obs::histogram_sample> {
+  template <typename V, typename R>
+  static bool fields(V& v, R& h) {
+    return v(h.name, h.unit, h.count, h.sum, counted<std::uint32_t>(h.buckets));
+  }
+};
+
+template <>
+struct wire<obs::stage_sample> {
+  template <typename V, typename R>
+  static bool fields(V& v, R& s) {
+    return v(as<std::uint8_t>(s.st), s.ns) &&
+           v.valid(static_cast<std::uint8_t>(s.st) <= obs::k_stage_max);
+  }
+};
+
+template <>
+struct wire<obs::slow_request> {
+  template <typename V, typename R>
+  static bool fields(V& v, R& s) {
+    return v(s.kind, s.seq, s.total_ns, counted<std::uint32_t>(s.stages));
+  }
+};
+
+template <>
+struct wire<net::wire_metrics> {
+  template <typename V, typename R>
+  static bool fields(V& v, R& m) {
+    return v(counted<std::uint32_t>(m.snapshot.counters),
+             counted<std::uint32_t>(m.snapshot.gauges),
+             counted<std::uint32_t>(m.snapshot.histograms), counted<std::uint32_t>(m.slow));
+  }
+};
+
+/// Every flight_event field except the struct's padding.
+template <>
+struct wire<obs::flight_event> {
+  template <typename V, typename R>
+  static bool fields(V& v, R& e) {
+    return v(e.seq, e.steady_ns, e.wall_ns, e.request_id, e.arg0, e.arg1, e.thread_id,
+             e.kind) &&
+           v.valid(e.kind != 0 && e.kind <= obs::k_event_kind_max);
+  }
+};
+
+template <>
+struct wire<net::wire_shard_status> {
+  template <typename V, typename R>
+  static bool fields(V& v, R& s) {
+    return v(s.shard, s.health, s.generation, s.journal_bytes, s.journal_records,
+             s.queue_depth);
+  }
+};
+
+template <>
+struct wire<net::wire_debug_dump> {
+  template <typename V, typename R>
+  static bool fields(V& v, R& d) {
+    return v(d.total_events_recorded, counted<std::uint32_t>(d.events),
+             counted<std::uint32_t>(d.shards), counted<std::uint32_t>(d.stalled));
+  }
+};
+
+template <>
+struct wire<net::wire_stats> {
+  template <typename V, typename R>
+  static bool fields(V& v, R& s) {
+    return v(s.ingested, s.dropped, s.batches, s.record_count, s.cluster_count,
+             s.queue_depth, s.degraded_shards, s.failed_shards, s.requests, s.shed);
+  }
+};
+
+}  // namespace spechd::ms
 
 namespace spechd::net {
 
@@ -16,33 +146,21 @@ constexpr std::size_t k_frame_bytes = 2 * sizeof(std::uint32_t);
 /// Every payload starts with type u8 + request_id u64.
 constexpr std::size_t k_payload_head = sizeof(std::uint8_t) + sizeof(std::uint64_t);
 
-/// Grows `out` by one exactly-sized frame and returns a cursor positioned
-/// past the type/request_id head; the caller writes `body_bytes` of body
-/// and then seals the frame (CRC over the payload, length patched in).
-ms::wire_cursor begin_frame(std::string& out, msg_type type, std::uint64_t request_id,
-                            std::size_t body_bytes, std::size_t& frame_start) {
-  frame_start = out.size();
-  out.resize(out.size() + k_frame_bytes + k_payload_head + body_bytes);
-  ms::wire_cursor cursor{out.data() + frame_start + k_frame_bytes};
-  cursor.put(static_cast<std::uint8_t>(type));
-  cursor.put(request_id);
-  return cursor;
+/// Appends one frame: the type/request_id head, then the `body` fields.
+template <typename... Body>
+void encode(std::string& out, msg_type type, std::uint64_t request_id,
+            const Body&... body) {
+  ms::append_crc_frame(out, [&](auto& v) {
+    return v(ms::as<std::uint8_t>(type), request_id, body...);
+  });
 }
 
-void seal_frame(std::string& out, std::size_t frame_start, const ms::wire_cursor& end) {
-  SPECHD_EXPECTS(end.p == out.data() + out.size());
-  char* frame = out.data() + frame_start;
-  const auto payload_bytes =
-      static_cast<std::uint32_t>(out.size() - frame_start - k_frame_bytes);
-  const std::uint32_t crc = crc32(frame + k_frame_bytes, payload_bytes);
-  std::memcpy(frame, &payload_bytes, sizeof(payload_bytes));
-  std::memcpy(frame + sizeof(payload_bytes), &crc, sizeof(crc));
-}
-
-void encode_empty(std::string& out, msg_type type, std::uint64_t request_id) {
-  std::size_t start = 0;
-  auto cursor = begin_frame(out, type, request_id, 0, start);
-  seal_frame(out, start, cursor);
+/// Reads the `body` fields from a frame; false unless they parse and
+/// cover the body exactly.
+template <typename... Body>
+bool parse(const frame_view& frame, Body&&... body) {
+  ms::wire_reader in{{frame.body, frame.body_bytes}};
+  return in(body...) && in.done();
 }
 
 }  // namespace
@@ -141,32 +259,19 @@ decode_status decode_frame(const char* data, std::size_t size,
 // --- hello -------------------------------------------------------------------
 
 void encode_hello_request(std::string& out, std::uint64_t request_id) {
-  std::size_t start = 0;
-  auto cursor = begin_frame(out, msg_type::hello, request_id,
-                            sizeof(k_hello_magic) + 2 * sizeof(std::uint32_t), start);
-  cursor.put_bytes(k_hello_magic, sizeof(k_hello_magic));
-  cursor.put(k_protocol_version);
-  cursor.put(k_endian_marker);
-  seal_frame(out, start, cursor);
+  encode(out, msg_type::hello, request_id, k_hello_magic, k_protocol_version,
+         k_endian_marker);
 }
 
 void encode_hello_response(std::string& out, std::uint64_t request_id) {
-  std::size_t start = 0;
-  auto cursor =
-      begin_frame(out, msg_type::hello_ok, request_id, sizeof(std::uint32_t), start);
-  cursor.put(k_protocol_version);
-  seal_frame(out, start, cursor);
+  encode(out, msg_type::hello_ok, request_id, k_protocol_version);
 }
 
 hello_status parse_hello_request(const frame_view& frame) {
-  ms::byte_cursor in{frame.body, frame.body_bytes};
   char magic[4] = {};
   std::uint32_t version = 0;
   std::uint32_t marker = 0;
-  if (!in.read_bytes(magic, 4) || !in.read(version) || !in.read(marker) ||
-      in.pos != in.size) {
-    return hello_status::malformed;
-  }
+  if (!parse(frame, magic, version, marker)) return hello_status::malformed;
   if (std::memcmp(magic, k_hello_magic, 4) != 0) return hello_status::bad_magic;
   // The marker is written in the peer's native order; byte-reversed means
   // a big-endian peer — every numeric field it sends would be garbage, so
@@ -177,115 +282,74 @@ hello_status parse_hello_request(const frame_view& frame) {
   return hello_status::ok;
 }
 
-// --- ping / drain ------------------------------------------------------------
+// --- empty bodies ------------------------------------------------------------
 
 void encode_ping(std::string& out, std::uint64_t request_id) {
-  encode_empty(out, msg_type::ping, request_id);
+  encode(out, msg_type::ping, request_id);
 }
 
 void encode_pong(std::string& out, std::uint64_t request_id) {
-  encode_empty(out, msg_type::pong, request_id);
+  encode(out, msg_type::pong, request_id);
 }
 
 void encode_drain_request(std::string& out, std::uint64_t request_id) {
-  encode_empty(out, msg_type::drain, request_id);
+  encode(out, msg_type::drain, request_id);
 }
 
 void encode_drain_response(std::string& out, std::uint64_t request_id) {
-  encode_empty(out, msg_type::drain_ok, request_id);
+  encode(out, msg_type::drain_ok, request_id);
+}
+
+void encode_metrics_request(std::string& out, std::uint64_t request_id) {
+  encode(out, msg_type::get_metrics, request_id);
+}
+
+void encode_debug_dump_request(std::string& out, std::uint64_t request_id) {
+  encode(out, msg_type::get_debug_dump, request_id);
+}
+
+void encode_stats_request(std::string& out, std::uint64_t request_id) {
+  encode(out, msg_type::stats, request_id);
 }
 
 // --- ingest ------------------------------------------------------------------
 
 void encode_ingest_request(std::string& out, std::uint64_t request_id,
                            const std::vector<ms::spectrum>& batch) {
-  std::size_t body = sizeof(std::uint64_t);
-  for (const auto& s : batch) body += ms::spectrum_wire_bytes(s);
-  std::size_t start = 0;
-  auto cursor = begin_frame(out, msg_type::ingest, request_id, body, start);
-  cursor.put(static_cast<std::uint64_t>(batch.size()));
-  for (const auto& s : batch) ms::write_spectrum(cursor, s);
-  seal_frame(out, start, cursor);
+  encode(out, msg_type::ingest, request_id, ms::counted<std::uint64_t>(batch));
 }
 
 bool parse_ingest_request(const frame_view& frame, std::vector<ms::spectrum>& batch) {
-  ms::byte_cursor in{frame.body, frame.body_bytes};
-  std::uint64_t count = 0;
-  if (!in.read(count)) return false;
-  if (count > in.size - in.pos) return false;  // each spectrum is >= 1 byte
-  batch.resize(count);
-  for (auto& s : batch) {
-    if (!ms::read_spectrum(in, s)) return false;
-  }
-  return in.pos == in.size;
+  return parse(frame, ms::counted<std::uint64_t>(batch));
 }
 
 void encode_ingest_response(std::string& out, std::uint64_t request_id,
                             std::uint64_t accepted) {
-  std::size_t start = 0;
-  auto cursor =
-      begin_frame(out, msg_type::ingest_ok, request_id, sizeof(std::uint64_t), start);
-  cursor.put(accepted);
-  seal_frame(out, start, cursor);
+  encode(out, msg_type::ingest_ok, request_id, accepted);
 }
 
 bool parse_ingest_response(const frame_view& frame, std::uint64_t& accepted) {
-  ms::byte_cursor in{frame.body, frame.body_bytes};
-  return in.read(accepted) && in.pos == in.size;
+  return parse(frame, accepted);
 }
 
 // --- query -------------------------------------------------------------------
 
 void encode_query_request(std::string& out, std::uint64_t request_id,
                           const ms::spectrum& spectrum) {
-  std::size_t start = 0;
-  auto cursor = begin_frame(out, msg_type::query, request_id,
-                            ms::spectrum_wire_bytes(spectrum), start);
-  ms::write_spectrum(cursor, spectrum);
-  seal_frame(out, start, cursor);
+  encode(out, msg_type::query, request_id, spectrum);
 }
 
 bool parse_query_request(const frame_view& frame, ms::spectrum& spectrum) {
-  ms::byte_cursor in{frame.body, frame.body_bytes};
-  return ms::read_spectrum(in, spectrum) && in.pos == in.size;
+  return parse(frame, spectrum);
 }
 
 void encode_query_response(std::string& out, std::uint64_t request_id,
                            const serve::query_result& result) {
-  constexpr std::size_t body = 2 * sizeof(std::uint8_t) + sizeof(std::int64_t) +
-                               sizeof(std::uint64_t) + sizeof(std::int32_t) +
-                               2 * sizeof(double) + 2 * sizeof(std::uint64_t);
-  std::size_t start = 0;
-  auto cursor = begin_frame(out, msg_type::query_ok, request_id, body, start);
-  cursor.put(static_cast<std::uint8_t>(result.encodable ? 1 : 0));
-  cursor.put(static_cast<std::uint8_t>(result.matched ? 1 : 0));
-  cursor.put(result.bucket_key);
-  cursor.put(static_cast<std::uint64_t>(result.shard));
-  cursor.put(result.local_label);
-  cursor.put(result.distance);
-  cursor.put(result.nearest_member);
-  cursor.put(static_cast<std::uint64_t>(result.cluster_size));
-  cursor.put(result.view_epoch);
-  seal_frame(out, start, cursor);
+  encode(out, msg_type::query_ok, request_id, result);
 }
 
 bool parse_query_response(const frame_view& frame, serve::query_result& result) {
-  ms::byte_cursor in{frame.body, frame.body_bytes};
-  std::uint8_t encodable = 0;
-  std::uint8_t matched = 0;
-  std::uint64_t shard = 0;
-  std::uint64_t cluster_size = 0;
-  if (!in.read(encodable) || !in.read(matched) || !in.read(result.bucket_key) ||
-      !in.read(shard) || !in.read(result.local_label) || !in.read(result.distance) ||
-      !in.read(result.nearest_member) || !in.read(cluster_size) ||
-      !in.read(result.view_epoch)) {
-    return false;
-  }
-  result.encodable = encodable != 0;
-  result.matched = matched != 0;
-  result.shard = shard;
-  result.cluster_size = cluster_size;
-  return in.pos == in.size;
+  return parse(frame, result);
 }
 
 // --- search (query_topk) -----------------------------------------------------
@@ -293,372 +357,62 @@ bool parse_query_response(const frame_view& frame, serve::query_result& result) 
 void encode_search_request(std::string& out, std::uint64_t request_id,
                            const ms::spectrum& spectrum, std::uint32_t top_k,
                            double tolerance_da) {
-  const std::size_t body =
-      sizeof(std::uint32_t) + sizeof(double) + ms::spectrum_wire_bytes(spectrum);
-  std::size_t start = 0;
-  auto cursor = begin_frame(out, msg_type::query_topk, request_id, body, start);
-  cursor.put(top_k);
-  cursor.put(tolerance_da);
-  ms::write_spectrum(cursor, spectrum);
-  seal_frame(out, start, cursor);
+  encode(out, msg_type::query_topk, request_id, top_k, tolerance_da, spectrum);
 }
 
 bool parse_search_request(const frame_view& frame, ms::spectrum& spectrum,
                           std::uint32_t& top_k, double& tolerance_da) {
-  ms::byte_cursor in{frame.body, frame.body_bytes};
-  return in.read(top_k) && in.read(tolerance_da) && ms::read_spectrum(in, spectrum) &&
-         in.pos == in.size;
+  return parse(frame, top_k, tolerance_da, spectrum);
 }
 
 void encode_search_response(std::string& out, std::uint64_t request_id,
                             const serve::search_result& result) {
-  std::size_t body = sizeof(std::uint8_t) + 2 * sizeof(std::uint64_t) +
-                     sizeof(std::uint32_t);
-  for (const auto& hit : result.hits) {
-    body += 2 * sizeof(std::uint32_t) + 2 * sizeof(double) + sizeof(std::int64_t) +
-            sizeof(std::int32_t) + sizeof(std::uint32_t) + hit.name.size();
-  }
-  std::size_t start = 0;
-  auto cursor = begin_frame(out, msg_type::query_topk_ok, request_id, body, start);
-  cursor.put(static_cast<std::uint8_t>(result.encodable ? 1 : 0));
-  cursor.put(result.buckets_probed);
-  cursor.put(result.candidates);
-  cursor.put(static_cast<std::uint32_t>(result.hits.size()));
-  for (const auto& hit : result.hits) {
-    cursor.put(hit.id);
-    cursor.put(hit.hamming);
-    cursor.put(hit.distance);
-    cursor.put(hit.bucket_key);
-    cursor.put(hit.precursor_mz);
-    cursor.put(hit.precursor_charge);
-    cursor.put(static_cast<std::uint32_t>(hit.name.size()));
-    cursor.put_bytes(hit.name.data(), hit.name.size());
-  }
-  seal_frame(out, start, cursor);
+  encode(out, msg_type::query_topk_ok, request_id, result);
 }
 
 bool parse_search_response(const frame_view& frame, serve::search_result& result) {
-  ms::byte_cursor in{frame.body, frame.body_bytes};
-  std::uint8_t encodable = 0;
-  std::uint32_t hit_count = 0;
-  if (!in.read(encodable) || !in.read(result.buckets_probed) ||
-      !in.read(result.candidates) || !in.read(hit_count)) {
-    return false;
-  }
-  result.encodable = encodable != 0;
-  // Each hit is > 1 byte; a hostile count can't drive a huge allocation.
-  if (hit_count > in.size - in.pos) return false;
-  result.hits.clear();
-  result.hits.resize(hit_count);
-  for (auto& hit : result.hits) {
-    std::uint32_t name_bytes = 0;
-    if (!in.read(hit.id) || !in.read(hit.hamming) || !in.read(hit.distance) ||
-        !in.read(hit.bucket_key) || !in.read(hit.precursor_mz) ||
-        !in.read(hit.precursor_charge) || !in.read(name_bytes)) {
-      return false;
-    }
-    if (name_bytes > in.size - in.pos) return false;
-    hit.name.resize(name_bytes);
-    if (!in.read_bytes(hit.name.data(), name_bytes)) return false;
-  }
-  return in.pos == in.size;
+  return parse(frame, result);
 }
 
-// --- metrics -----------------------------------------------------------------
-
-namespace {
-
-std::size_t str_wire_bytes(const std::string& s) {
-  return sizeof(std::uint32_t) + s.size();
-}
-
-void put_str(ms::wire_cursor& cursor, const std::string& s) {
-  cursor.put(static_cast<std::uint32_t>(s.size()));
-  cursor.put_bytes(s.data(), s.size());
-}
-
-bool read_str(ms::byte_cursor& in, std::string& s) {
-  std::uint32_t len = 0;
-  if (!in.read(len)) return false;
-  if (len > in.size - in.pos) return false;  // hostile length: never allocate past input
-  s.resize(len);
-  return in.read_bytes(s.data(), len);
-}
-
-}  // namespace
-
-void encode_metrics_request(std::string& out, std::uint64_t request_id) {
-  encode_empty(out, msg_type::get_metrics, request_id);
-}
+// --- telemetry ---------------------------------------------------------------
 
 void encode_metrics_response(std::string& out, std::uint64_t request_id,
                              const wire_metrics& metrics) {
-  const auto& snap = metrics.snapshot;
-  std::size_t body = 4 * sizeof(std::uint32_t);  // the four section counts
-  for (const auto& c : snap.counters) body += str_wire_bytes(c.name) + sizeof(std::uint64_t);
-  for (const auto& g : snap.gauges) body += str_wire_bytes(g.name) + sizeof(std::int64_t);
-  for (const auto& h : snap.histograms) {
-    body += str_wire_bytes(h.name) + str_wire_bytes(h.unit) + 2 * sizeof(std::uint64_t) +
-            sizeof(std::uint32_t) + h.buckets.size() * 3 * sizeof(std::uint64_t);
-  }
-  for (const auto& s : metrics.slow) {
-    body += str_wire_bytes(s.kind) + 2 * sizeof(std::uint64_t) + sizeof(std::uint32_t) +
-            s.stages.size() * (sizeof(std::uint8_t) + sizeof(std::uint64_t));
-  }
-  std::size_t start = 0;
-  auto cursor = begin_frame(out, msg_type::metrics_ok, request_id, body, start);
-  cursor.put(static_cast<std::uint32_t>(snap.counters.size()));
-  for (const auto& c : snap.counters) {
-    put_str(cursor, c.name);
-    cursor.put(c.value);
-  }
-  cursor.put(static_cast<std::uint32_t>(snap.gauges.size()));
-  for (const auto& g : snap.gauges) {
-    put_str(cursor, g.name);
-    cursor.put(g.value);
-  }
-  cursor.put(static_cast<std::uint32_t>(snap.histograms.size()));
-  for (const auto& h : snap.histograms) {
-    put_str(cursor, h.name);
-    put_str(cursor, h.unit);
-    cursor.put(h.count);
-    cursor.put(h.sum);
-    cursor.put(static_cast<std::uint32_t>(h.buckets.size()));
-    for (const auto& b : h.buckets) {
-      cursor.put(b.lo);
-      cursor.put(b.hi);
-      cursor.put(b.count);
-    }
-  }
-  cursor.put(static_cast<std::uint32_t>(metrics.slow.size()));
-  for (const auto& s : metrics.slow) {
-    put_str(cursor, s.kind);
-    cursor.put(s.seq);
-    cursor.put(s.total_ns);
-    cursor.put(static_cast<std::uint32_t>(s.stages.size()));
-    for (const auto& st : s.stages) {
-      cursor.put(static_cast<std::uint8_t>(st.st));
-      cursor.put(st.ns);
-    }
-  }
-  seal_frame(out, start, cursor);
+  encode(out, msg_type::metrics_ok, request_id, metrics);
 }
 
 bool parse_metrics_response(const frame_view& frame, wire_metrics& metrics) {
-  ms::byte_cursor in{frame.body, frame.body_bytes};
-  metrics = {};
-  std::uint32_t count = 0;
-
-  if (!in.read(count)) return false;
-  if (count > (in.size - in.pos) / (sizeof(std::uint32_t) + sizeof(std::uint64_t))) {
-    return false;
-  }
-  metrics.snapshot.counters.resize(count);
-  for (auto& c : metrics.snapshot.counters) {
-    if (!read_str(in, c.name) || !in.read(c.value)) return false;
-  }
-
-  if (!in.read(count)) return false;
-  if (count > (in.size - in.pos) / (sizeof(std::uint32_t) + sizeof(std::int64_t))) {
-    return false;
-  }
-  metrics.snapshot.gauges.resize(count);
-  for (auto& g : metrics.snapshot.gauges) {
-    if (!read_str(in, g.name) || !in.read(g.value)) return false;
-  }
-
-  if (!in.read(count)) return false;
-  // Minimum histogram size: two empty strings, count, sum, bucket count.
-  constexpr std::size_t k_min_hist =
-      3 * sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
-  if (count > (in.size - in.pos) / k_min_hist) return false;
-  metrics.snapshot.histograms.resize(count);
-  for (auto& h : metrics.snapshot.histograms) {
-    if (!read_str(in, h.name) || !read_str(in, h.unit)) return false;
-    if (!in.read(h.count) || !in.read(h.sum)) return false;
-    std::uint32_t buckets = 0;
-    if (!in.read(buckets)) return false;
-    if (buckets > (in.size - in.pos) / (3 * sizeof(std::uint64_t))) return false;
-    h.buckets.resize(buckets);
-    for (auto& b : h.buckets) {
-      if (!in.read(b.lo) || !in.read(b.hi) || !in.read(b.count)) return false;
-    }
-  }
-
-  if (!in.read(count)) return false;
-  constexpr std::size_t k_min_slow =
-      2 * sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
-  if (count > (in.size - in.pos) / k_min_slow) return false;
-  metrics.slow.resize(count);
-  for (auto& s : metrics.slow) {
-    if (!read_str(in, s.kind)) return false;
-    if (!in.read(s.seq) || !in.read(s.total_ns)) return false;
-    std::uint32_t stages = 0;
-    if (!in.read(stages)) return false;
-    if (stages > (in.size - in.pos) / (sizeof(std::uint8_t) + sizeof(std::uint64_t))) {
-      return false;
-    }
-    s.stages.resize(stages);
-    for (auto& st : s.stages) {
-      std::uint8_t raw = 0;
-      if (!in.read(raw) || !in.read(st.ns)) return false;
-      if (raw > obs::k_stage_max) return false;
-      st.st = static_cast<obs::stage>(raw);
-    }
-  }
-  return in.pos == in.size;
-}
-
-// --- debug dump --------------------------------------------------------------
-
-namespace {
-
-/// One flight event on the wire: every field except the struct's padding.
-constexpr std::size_t k_event_bytes =
-    6 * sizeof(std::uint64_t) + sizeof(std::uint32_t) + sizeof(std::uint8_t);
-/// One shard-status row on the wire.
-constexpr std::size_t k_shard_status_bytes =
-    2 * sizeof(std::uint32_t) + 4 * sizeof(std::uint64_t);
-
-}  // namespace
-
-void encode_debug_dump_request(std::string& out, std::uint64_t request_id) {
-  encode_empty(out, msg_type::get_debug_dump, request_id);
+  return parse(frame, metrics);
 }
 
 void encode_debug_dump_response(std::string& out, std::uint64_t request_id,
                                 const wire_debug_dump& dump) {
-  std::size_t body = sizeof(std::uint64_t) + 3 * sizeof(std::uint32_t) +
-                     dump.events.size() * k_event_bytes +
-                     dump.shards.size() * k_shard_status_bytes;
-  for (const auto& name : dump.stalled) body += str_wire_bytes(name);
-  std::size_t start = 0;
-  auto cursor = begin_frame(out, msg_type::debug_dump_ok, request_id, body, start);
-  cursor.put(dump.total_events_recorded);
-  cursor.put(static_cast<std::uint32_t>(dump.events.size()));
-  for (const auto& e : dump.events) {
-    cursor.put(e.seq);
-    cursor.put(e.steady_ns);
-    cursor.put(e.wall_ns);
-    cursor.put(e.request_id);
-    cursor.put(e.arg0);
-    cursor.put(e.arg1);
-    cursor.put(e.thread_id);
-    cursor.put(static_cast<std::uint8_t>(e.kind));
-  }
-  cursor.put(static_cast<std::uint32_t>(dump.shards.size()));
-  for (const auto& s : dump.shards) {
-    cursor.put(s.shard);
-    cursor.put(s.health);
-    cursor.put(s.generation);
-    cursor.put(s.journal_bytes);
-    cursor.put(s.journal_records);
-    cursor.put(s.queue_depth);
-  }
-  cursor.put(static_cast<std::uint32_t>(dump.stalled.size()));
-  for (const auto& name : dump.stalled) put_str(cursor, name);
-  seal_frame(out, start, cursor);
+  encode(out, msg_type::debug_dump_ok, request_id, dump);
 }
 
 bool parse_debug_dump_response(const frame_view& frame, wire_debug_dump& dump) {
-  ms::byte_cursor in{frame.body, frame.body_bytes};
-  dump = {};
-  std::uint32_t count = 0;
-
-  if (!in.read(dump.total_events_recorded)) return false;
-  if (!in.read(count)) return false;
-  if (count > (in.size - in.pos) / k_event_bytes) return false;
-  dump.events.resize(count);
-  for (auto& e : dump.events) {
-    std::uint8_t raw_kind = 0;
-    if (!in.read(e.seq) || !in.read(e.steady_ns) || !in.read(e.wall_ns) ||
-        !in.read(e.request_id) || !in.read(e.arg0) || !in.read(e.arg1) ||
-        !in.read(e.thread_id) || !in.read(raw_kind)) {
-      return false;
-    }
-    if (raw_kind == 0 || raw_kind > obs::k_event_kind_max) return false;
-    e.kind = static_cast<std::uint8_t>(raw_kind);
-  }
-
-  if (!in.read(count)) return false;
-  if (count > (in.size - in.pos) / k_shard_status_bytes) return false;
-  dump.shards.resize(count);
-  for (auto& s : dump.shards) {
-    if (!in.read(s.shard) || !in.read(s.health) || !in.read(s.generation) ||
-        !in.read(s.journal_bytes) || !in.read(s.journal_records) ||
-        !in.read(s.queue_depth)) {
-      return false;
-    }
-  }
-
-  if (!in.read(count)) return false;
-  if (count > (in.size - in.pos) / sizeof(std::uint32_t)) return false;
-  dump.stalled.resize(count);
-  for (auto& name : dump.stalled) {
-    if (!read_str(in, name)) return false;
-  }
-  return in.pos == in.size;
-}
-
-// --- stats -------------------------------------------------------------------
-
-void encode_stats_request(std::string& out, std::uint64_t request_id) {
-  encode_empty(out, msg_type::stats, request_id);
+  return parse(frame, dump);
 }
 
 void encode_stats_response(std::string& out, std::uint64_t request_id,
                            const wire_stats& stats) {
-  std::size_t start = 0;
-  auto cursor =
-      begin_frame(out, msg_type::stats_ok, request_id, 10 * sizeof(std::uint64_t), start);
-  cursor.put(stats.ingested);
-  cursor.put(stats.dropped);
-  cursor.put(stats.batches);
-  cursor.put(stats.record_count);
-  cursor.put(stats.cluster_count);
-  cursor.put(stats.queue_depth);
-  cursor.put(stats.degraded_shards);
-  cursor.put(stats.failed_shards);
-  cursor.put(stats.requests);
-  cursor.put(stats.shed);
-  seal_frame(out, start, cursor);
+  encode(out, msg_type::stats_ok, request_id, stats);
 }
 
 bool parse_stats_response(const frame_view& frame, wire_stats& stats) {
-  ms::byte_cursor in{frame.body, frame.body_bytes};
-  return in.read(stats.ingested) && in.read(stats.dropped) && in.read(stats.batches) &&
-         in.read(stats.record_count) && in.read(stats.cluster_count) &&
-         in.read(stats.queue_depth) && in.read(stats.degraded_shards) &&
-         in.read(stats.failed_shards) && in.read(stats.requests) &&
-         in.read(stats.shed) && in.pos == in.size;
+  return parse(frame, stats);
 }
 
 // --- error -------------------------------------------------------------------
 
 void encode_error_response(std::string& out, std::uint64_t request_id,
                            error_code code, const std::string& message) {
-  std::size_t start = 0;
-  auto cursor = begin_frame(out, msg_type::error, request_id,
-                            sizeof(std::uint16_t) + sizeof(std::uint32_t) +
-                                message.size(),
-                            start);
-  cursor.put(static_cast<std::uint16_t>(code));
-  cursor.put(static_cast<std::uint32_t>(message.size()));
-  cursor.put_bytes(message.data(), message.size());
-  seal_frame(out, start, cursor);
+  encode(out, msg_type::error, request_id, ms::as<std::uint16_t>(code), message);
 }
 
 bool parse_error_response(const frame_view& frame, error_code& code,
                           std::string& message) {
-  ms::byte_cursor in{frame.body, frame.body_bytes};
-  std::uint16_t raw = 0;
-  std::uint32_t len = 0;
-  if (!in.read(raw) || !in.read(len)) return false;
-  if (len > in.size - in.pos) return false;
-  message.resize(len);
-  if (!in.read_bytes(message.data(), len)) return false;
-  code = static_cast<error_code>(raw);
-  return in.pos == in.size;
+  return parse(frame, ms::as<std::uint16_t>(code), message);
 }
 
 }  // namespace spechd::net

@@ -19,9 +19,14 @@
 // processes each connection's frames in arrival order and responds in
 // that order.
 //
-// Spectra cross the wire in exactly the journal's spectrum layout
-// (ms/spectrum_wire.hpp) — the basis of the golden guarantee that
-// networked ingest is bit-identical to in-process ingest.
+// Each body layout is one field list, run by the codec in
+// ms/spectrum_wire.hpp: the same list sizes, writes and reads the body, so
+// an encoder and its parser cannot disagree. Spectra cross the wire in
+// exactly the journal's spectrum layout — the basis of the golden
+// guarantee that networked ingest is bit-identical to in-process ingest.
+// Body parsers never trust a count: every counted list is capped at
+// (bytes left) ÷ (its element's minimum wire size) before anything is
+// allocated, so a lying count costs no more memory than the frame itself.
 //
 // Every refusal is a typed `error` response (code + human-readable
 // message): admission control sheds with `shed_load`, a read-only shard

@@ -29,8 +29,6 @@ constexpr char k_magic[4] = {'S', 'P', 'J', 'L'};
 /// ingest-batch records, the commit record kind). Journals are
 /// regenerated by compaction, so no v1 reader remains.
 constexpr std::uint32_t k_version = 2;
-/// Record frames: u32 payload_bytes + u32 crc.
-constexpr std::size_t k_frame_bytes = 2 * sizeof(std::uint32_t);
 /// Sanity bound mirroring the snapshot reader: a corrupted length field
 /// must not drive a huge allocation before the CRC would catch it. One
 /// record is one ingest batch; 1 GiB is far beyond any real batch (and
@@ -46,15 +44,7 @@ void put(std::ostream& out, const T& v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
-// Record serialisation shares the spectrum wire layout — and its
-// raw-pointer cursors over exactly-sized buffers, which matter on the
-// ingest hot path (one record per applied batch, two fields per peak) —
-// with the network protocol (ms/spectrum_wire.hpp).
 using cursor = ms::byte_cursor;
-using wire_cursor = ms::wire_cursor;
-using ms::read_spectrum;
-using ms::spectrum_wire_bytes;
-using ms::write_spectrum;
 
 void write_header(std::ostream& out, const journal_file_header& header) {
   std::ostringstream payload_stream(std::ios::binary);
@@ -114,72 +104,41 @@ journal_file_header parse_header(cursor& in, const std::string& source) {
   return header;
 }
 
-/// Serialises one record into `frame` (a caller-owned, reused buffer —
-/// resize_and_overwrite-style: grow-only capacity, no per-record
-/// allocation). The wire size is exactly computable up front, so the
-/// payload is written straight through a cursor after an 8-byte hole for
-/// the frame header, which is patched in last.
-void frame_record(journal_record::kind type, std::uint64_t seq, std::uint64_t txn_id,
-                  std::uint32_t participants, const std::vector<ms::spectrum>* batch,
-                  std::string& frame) {
-  std::size_t total = k_frame_bytes + sizeof(std::uint8_t) + sizeof(std::uint64_t);
-  if (type == journal_record::kind::commit) {
-    total += sizeof(std::uint64_t);  // txn_id
-  } else if (batch != nullptr) {
-    total += sizeof(std::uint64_t) + sizeof(std::uint32_t);  // txn_id + participants
-    total += sizeof(std::uint64_t);                          // batch count
-    for (const auto& s : *batch) total += spectrum_wire_bytes(s);
+/// What the writer frames: the fields of a journal_record, borrowing the
+/// batch instead of copying it.
+struct record_out {
+  journal_record::kind type;
+  std::uint64_t seq;
+  std::uint64_t txn_id;
+  std::uint32_t participants;
+  const std::vector<ms::spectrum>& batch;
+};
+
+/// The batch of the record kinds that carry none.
+const std::vector<ms::spectrum> k_no_batch;
+
+/// A record's payload layout, one field list for the writer (over a
+/// record_out) and the scanner (over a journal_record). An unknown kind
+/// fails the read, which the scanner treats exactly like a CRC failure.
+template <typename V, typename R>
+bool record_fields(V& v, R& r) {
+  if (!v(ms::as<std::uint8_t>(r.type), r.seq)) return false;
+  switch (r.type) {
+    case journal_record::kind::ingest_batch:
+      return v(r.txn_id, r.participants, ms::counted<std::uint64_t>(r.batch));
+    case journal_record::kind::recluster:
+      return true;
+    case journal_record::kind::commit:
+      return v(r.txn_id);
   }
-  frame.resize(total);
-  wire_cursor out{frame.data() + k_frame_bytes};
-  out.put(static_cast<std::uint8_t>(type));
-  out.put(seq);
-  if (type == journal_record::kind::commit) {
-    out.put(txn_id);
-  } else if (batch != nullptr) {
-    out.put(txn_id);
-    out.put(participants);
-    out.put(static_cast<std::uint64_t>(batch->size()));
-    for (const auto& s : *batch) write_spectrum(out, s);
-  }
-  SPECHD_EXPECTS(out.p == frame.data() + frame.size());
-  const std::uint32_t payload_bytes =
-      static_cast<std::uint32_t>(frame.size() - k_frame_bytes);
-  const std::uint32_t crc = crc32(frame.data() + k_frame_bytes, payload_bytes);
-  std::memcpy(frame.data(), &payload_bytes, sizeof(payload_bytes));
-  std::memcpy(frame.data() + sizeof(payload_bytes), &crc, sizeof(crc));
+  return false;
 }
 
-/// Parses the record payload at `in` (already CRC-verified); false = the
-/// payload is internally inconsistent, which the scanner treats exactly
-/// like a CRC failure (stop, report torn).
-bool parse_record_payload(cursor in, journal_record& record) {
-  std::uint8_t type = 0;
-  if (!in.read(type) || !in.read(record.seq)) return false;
-  if (type == static_cast<std::uint8_t>(journal_record::kind::ingest_batch)) {
-    record.type = journal_record::kind::ingest_batch;
-    std::uint64_t count = 0;
-    if (!in.read(record.txn_id) || !in.read(record.participants)) return false;
-    if (!in.read(count)) return false;
-    if (count > in.size - in.pos) return false;  // each spectrum is >= 1 byte
-    record.batch.resize(count);
-    for (auto& s : record.batch) {
-      if (!read_spectrum(in, s)) return false;
-    }
-    return in.pos == in.size;
-  }
-  if (type == static_cast<std::uint8_t>(journal_record::kind::recluster)) {
-    record.type = journal_record::kind::recluster;
-    record.batch.clear();
-    return in.pos == in.size;
-  }
-  if (type == static_cast<std::uint8_t>(journal_record::kind::commit)) {
-    record.type = journal_record::kind::commit;
-    record.batch.clear();
-    if (!in.read(record.txn_id)) return false;
-    return in.pos == in.size;
-  }
-  return false;  // unknown record type
+/// Serialises one record into `frame`, a caller-owned buffer reused
+/// across records (grow-only capacity, no per-record allocation).
+void frame_record(const record_out& record, std::string& frame) {
+  frame.clear();
+  ms::append_crc_frame(frame, [&record](auto& v) { return record_fields(v, record); });
 }
 
 /// Parses `name` as `<prefix><number><suffix>`; nullopt when it doesn't
@@ -240,8 +199,9 @@ journal_scan read_journal_file(const std::string& path) {
       break;
     }
     journal_record record;
-    if (!parse_record_payload(cursor{payload, payload_bytes}, record)) {
-      scan.torn = true;
+    ms::wire_reader reader{{payload, payload_bytes}};
+    if (!record_fields(reader, record) || !reader.done()) {
+      scan.torn = true;  // CRC-valid but inconsistent: stop exactly like a CRC failure
       break;
     }
     // The writer increments seq by exactly 1 per append, so anything but
@@ -501,18 +461,18 @@ void journal_writer::append_frame(const std::string& frame) {
 
 void journal_writer::append_batch(const std::vector<ms::spectrum>& batch,
                                   std::uint64_t txn_id, std::uint32_t participants) {
-  frame_record(journal_record::kind::ingest_batch, next_seq_, txn_id, participants,
-               &batch, scratch_);
+  frame_record({journal_record::kind::ingest_batch, next_seq_, txn_id, participants, batch},
+               scratch_);
   append_frame(scratch_);
 }
 
 void journal_writer::append_recluster() {
-  frame_record(journal_record::kind::recluster, next_seq_, 0, 0, nullptr, scratch_);
+  frame_record({journal_record::kind::recluster, next_seq_, 0, 0, k_no_batch}, scratch_);
   append_frame(scratch_);
 }
 
 void journal_writer::append_commit(std::uint64_t txn_id) {
-  frame_record(journal_record::kind::commit, next_seq_, txn_id, 0, nullptr, scratch_);
+  frame_record({journal_record::kind::commit, next_seq_, txn_id, 0, k_no_batch}, scratch_);
   append_frame(scratch_);
 }
 

@@ -156,10 +156,13 @@ std::string shard::health_message() const {
 }
 
 bool shard::heal_degraded() {
-  std::lock_guard lock(error_mutex_);
-  if (health_.load(std::memory_order_relaxed) != shard_health::degraded) return false;
-  health_.store(shard_health::healthy, std::memory_order_relaxed);
-  health_error_.clear();
+  {
+    std::lock_guard lock(error_mutex_);
+    if (health_.load(std::memory_order_relaxed) != shard_health::degraded) return false;
+    health_.store(shard_health::healthy, std::memory_order_relaxed);
+    health_error_.clear();
+  }
+  update_status();
   return true;
 }
 
@@ -431,6 +434,7 @@ core::clusterer_state shard::export_and_rotate_journal(const journal_head& head,
   run_on_writer([this, &state, &head, &header] {
     state = clusterer_.export_state();
     journal_->rotate(head, header);
+    update_status();
   });
   return state;
 }

@@ -265,6 +265,66 @@ TEST(NetProtocol, IngestDeclaringHugeCountRejected) {
   EXPECT_FALSE(parse_ingest_request(frame, batch));
 }
 
+/// A CRC-valid frame of `type` whose body is `head` followed by `zeros`
+/// zero bytes.
+std::string zero_padded_frame(msg_type type, const std::string& head, std::size_t zeros) {
+  std::string payload;
+  payload.push_back(static_cast<char>(type));
+  const std::uint64_t id = 1;
+  payload.append(reinterpret_cast<const char*>(&id), sizeof(id));
+  payload += head;
+  payload.append(zeros, '\0');
+  return raw_frame(payload);
+}
+
+template <typename T>
+std::string le_bytes(T v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+TEST(NetProtocol, IngestCountIsBoundedByTheSmallestSpectrum) {
+  // An empty spectrum takes 40 wire bytes. A count that only fits at one
+  // byte per spectrum must be refused before the batch is allocated.
+  {
+    const auto bytes = zero_padded_frame(msg_type::ingest, le_bytes<std::uint64_t>(4096), 4096);
+    std::vector<ms::spectrum> batch;
+    EXPECT_FALSE(parse_ingest_request(decode_one(bytes), batch));
+    EXPECT_TRUE(batch.empty());
+  }
+  {
+    const auto bytes = zero_padded_frame(msg_type::ingest, le_bytes<std::uint64_t>(102), 4080);
+    std::vector<ms::spectrum> batch;
+    ASSERT_TRUE(parse_ingest_request(decode_one(bytes), batch));
+    ASSERT_EQ(batch.size(), 102U);
+    for (const auto& s : batch) {
+      EXPECT_TRUE(s.title.empty());
+      EXPECT_TRUE(s.peaks.empty());
+    }
+  }
+}
+
+TEST(NetProtocol, SearchHitCountIsBoundedByTheSmallestHit) {
+  // Head: encodable u8, buckets_probed u64, candidates u64, hit_count u32;
+  // a hit with an empty name takes 40 wire bytes.
+  const auto head = [](std::uint32_t hits) {
+    return le_bytes<std::uint8_t>(1) + le_bytes<std::uint64_t>(2) +
+           le_bytes<std::uint64_t>(3) + le_bytes(hits);
+  };
+  {
+    const auto bytes = zero_padded_frame(msg_type::query_topk_ok, head(4096), 4096);
+    serve::search_result result;
+    EXPECT_FALSE(parse_search_response(decode_one(bytes), result));
+    EXPECT_TRUE(result.hits.empty());
+  }
+  {
+    const auto bytes = zero_padded_frame(msg_type::query_topk_ok, head(102), 4080);
+    serve::search_result result;
+    ASSERT_TRUE(parse_search_response(decode_one(bytes), result));
+    EXPECT_EQ(result.hits.size(), 102U);
+    EXPECT_EQ(result.candidates, 3U);
+  }
+}
+
 // --- hello handshake ----------------------------------------------------------
 
 /// Hello body layout: magic[4] + version u32 + endian marker u32.

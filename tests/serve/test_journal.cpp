@@ -16,6 +16,7 @@
 
 #include "core/incremental.hpp"
 #include "ms/synthetic.hpp"
+#include "obs/flight.hpp"
 #include "serve/journal.hpp"
 #include "serve/recovery.hpp"
 #include "serve/service.hpp"
@@ -283,6 +284,69 @@ TEST(Journal, TornTailIsDetectedAndTruncatedToLastCompleteRecord) {
   const auto scan = read_journal_file(head.path);
   EXPECT_TRUE(scan.torn);
   EXPECT_EQ(scan.records.size(), 2U);
+}
+
+TEST(Journal, CrcValidRecordWithInconsistentBodyIsTorn) {
+  // The CRC only proves the bytes arrived as written; the body must still
+  // parse. A lying count, an unknown kind or trailing bytes each end the
+  // scan at that record, which is never allocated by its claimed count.
+  temp_dir dir("inconsistent");
+  std::filesystem::create_directories(dir.path);
+  const auto stream = sample_stream(6, 9);
+  journal_file_header header;
+  header.shard_count = 1;
+  journal_head head;
+  head.path = journal_shard_path(dir.path, 0, 0);
+  journal_config config;
+  config.fsync = false;
+  std::uint64_t valid = 0;
+  {
+    journal_writer writer(head, header, config);
+    writer.append_batch({stream.begin(), stream.begin() + 4});
+    writer.append_recluster();
+    valid = writer.bytes();
+  }
+  const auto intact = read_journal_file(head.path);
+  ASSERT_FALSE(intact.torn);
+  ASSERT_EQ(intact.records.size(), 2U);
+
+  const auto field = [](auto v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  const std::string seq = field(std::uint64_t{2});
+  // ingest_batch, seq, txn_id, participants, count 4096 over 4096 zero bytes
+  const std::string lying_count = field(std::uint8_t{1}) + seq + field(std::uint64_t{0}) +
+                                  field(std::uint32_t{0}) + field(std::uint64_t{4096}) +
+                                  std::string(4096, '\0');
+  const std::string unknown_kind = field(std::uint8_t{9}) + seq;
+  const std::string trailing = field(std::uint8_t{2}) + seq + field(std::uint8_t{0});
+  for (const auto& [name, payload] : {std::pair{"lying count", lying_count},
+                                      std::pair{"unknown kind", unknown_kind},
+                                      std::pair{"trailing bytes", trailing}}) {
+    SCOPED_TRACE(name);
+    const std::string path = head.path + ".bad";
+    std::filesystem::copy_file(head.path, path,
+                               std::filesystem::copy_options::overwrite_existing);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::app);
+      const auto len = static_cast<std::uint32_t>(payload.size());
+      const std::uint32_t crc = crc32(payload.data(), payload.size());
+      out.write(reinterpret_cast<const char*>(&len), sizeof(len));
+      out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+      out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    }
+    const auto scan = read_journal_file(path);
+    EXPECT_TRUE(scan.torn);
+    EXPECT_EQ(scan.valid_bytes, valid);
+    ASSERT_EQ(scan.records.size(), 2U);
+    EXPECT_EQ(scan.records[0].seq, intact.records[0].seq);
+    ASSERT_EQ(scan.records[0].batch.size(), 4U);
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(scan.records[0].batch[i].title, stream[i].title);
+      EXPECT_EQ(scan.records[0].batch[i].peaks, stream[i].peaks);
+    }
+    EXPECT_EQ(scan.records[1].type, journal_record::kind::recluster);
+  }
 }
 
 TEST(Journal, CorruptHeaderIsRejected) {
@@ -806,6 +870,14 @@ TEST(JournalFaults, AppendErrorDegradesShardAndCompactionHeals) {
     // Compaction reconciles journal and applied state — and heals.
     service.compact_journal();
     EXPECT_EQ(service.stats().degraded_shards, 0U);
+    // The crash-dump status row follows the heal and the rotation at once,
+    // without waiting for the next applied batch.
+    stats = service.stats();
+    const auto& row = obs::status_shard(0);
+    EXPECT_EQ(row.health.load(), static_cast<std::uint32_t>(stats.shards[0].health));
+    EXPECT_EQ(row.generation.load(), 1U);
+    EXPECT_EQ(row.journal_bytes.load(), stats.shards[0].journal_bytes);
+    EXPECT_EQ(row.journal_records.load(), stats.shards[0].journal_records);
     service.ingest({stream.begin() + static_cast<std::ptrdiff_t>(split), stream.end()});
     service.drain();
     live = canonical_state(service.export_states());
