@@ -180,14 +180,6 @@ struct wire_sizer {
   }
 };
 
-/// Exact wire size of `value`.
-template <typename T>
-std::size_t wire_bytes(const T& value) {
-  wire_sizer size;
-  size(value);
-  return size.bytes;
-}
-
 /// Writes the fields it visits at a cursor sized by wire_sizer.
 struct wire_writer {
   wire_cursor out;
@@ -248,8 +240,11 @@ struct wire_reader {
   bool list(counted_field<C, L> f) {
     C count{};
     if (!in.read(count)) return false;
-    // Every element takes at least the wire bytes of a default one.
-    if (count > (in.size - in.pos) / wire_bytes(typename L::value_type{})) return false;
+    // Cap the count before allocating: every element takes at least the
+    // wire bytes of a default one.
+    wire_sizer smallest;
+    smallest(typename L::value_type{});
+    if (count > (in.size - in.pos) / smallest.bytes) return false;
     f.list.resize(count);
     if constexpr (is_string<L>) {
       return in.read_bytes(f.list.data(), count);

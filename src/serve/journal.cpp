@@ -104,41 +104,32 @@ journal_file_header parse_header(cursor& in, const std::string& source) {
   return header;
 }
 
-/// What the writer frames: the fields of a journal_record, borrowing the
-/// batch instead of copying it.
-struct record_out {
-  journal_record::kind type;
-  std::uint64_t seq;
-  std::uint64_t txn_id;
-  std::uint32_t participants;
-  const std::vector<ms::spectrum>& batch;
-};
-
-/// The batch of the record kinds that carry none.
-const std::vector<ms::spectrum> k_no_batch;
-
-/// A record's payload layout, one field list for the writer (over a
-/// record_out) and the scanner (over a journal_record). An unknown kind
-/// fails the read, which the scanner treats exactly like a CRC failure.
-template <typename V, typename R>
-bool record_fields(V& v, R& r) {
-  if (!v(ms::as<std::uint8_t>(r.type), r.seq)) return false;
-  switch (r.type) {
+/// A record's payload layout, one field list for the writer and the
+/// scanner. The batch is passed apart from the record so the writer can
+/// frame a caller's batch without copying it. An unknown kind fails the
+/// read, which the scanner treats exactly like a CRC failure.
+template <typename V, typename R, typename B>
+bool record_fields(V& v, R& record, B& batch) {
+  if (!v(ms::as<std::uint8_t>(record.type), record.seq)) return false;
+  switch (record.type) {
     case journal_record::kind::ingest_batch:
-      return v(r.txn_id, r.participants, ms::counted<std::uint64_t>(r.batch));
+      return v(record.txn_id, record.participants, ms::counted<std::uint64_t>(batch));
     case journal_record::kind::recluster:
       return true;
     case journal_record::kind::commit:
-      return v(r.txn_id);
+      return v(record.txn_id);
   }
   return false;
 }
 
 /// Serialises one record into `frame`, a caller-owned buffer reused
 /// across records (grow-only capacity, no per-record allocation).
-void frame_record(const record_out& record, std::string& frame) {
+void frame_record(journal_record::kind type, std::uint64_t seq, std::uint64_t txn_id,
+                  std::uint32_t participants, const std::vector<ms::spectrum>& batch,
+                  std::string& frame) {
+  const journal_record record{type, seq, txn_id, participants, {}};
   frame.clear();
-  ms::append_crc_frame(frame, [&record](auto& v) { return record_fields(v, record); });
+  ms::append_crc_frame(frame, [&](auto& v) { return record_fields(v, record, batch); });
 }
 
 /// Parses `name` as `<prefix><number><suffix>`; nullopt when it doesn't
@@ -200,7 +191,7 @@ journal_scan read_journal_file(const std::string& path) {
     }
     journal_record record;
     ms::wire_reader reader{{payload, payload_bytes}};
-    if (!record_fields(reader, record) || !reader.done()) {
+    if (!record_fields(reader, record, record.batch) || !reader.done()) {
       scan.torn = true;  // CRC-valid but inconsistent: stop exactly like a CRC failure
       break;
     }
@@ -461,18 +452,18 @@ void journal_writer::append_frame(const std::string& frame) {
 
 void journal_writer::append_batch(const std::vector<ms::spectrum>& batch,
                                   std::uint64_t txn_id, std::uint32_t participants) {
-  frame_record({journal_record::kind::ingest_batch, next_seq_, txn_id, participants, batch},
+  frame_record(journal_record::kind::ingest_batch, next_seq_, txn_id, participants, batch,
                scratch_);
   append_frame(scratch_);
 }
 
 void journal_writer::append_recluster() {
-  frame_record({journal_record::kind::recluster, next_seq_, 0, 0, k_no_batch}, scratch_);
+  frame_record(journal_record::kind::recluster, next_seq_, 0, 0, {}, scratch_);
   append_frame(scratch_);
 }
 
 void journal_writer::append_commit(std::uint64_t txn_id) {
-  frame_record({journal_record::kind::commit, next_seq_, txn_id, 0, k_no_batch}, scratch_);
+  frame_record(journal_record::kind::commit, next_seq_, txn_id, 0, {}, scratch_);
   append_frame(scratch_);
 }
 
