@@ -17,7 +17,8 @@
 //
 // A field is one of:
 //
-//   - an arithmetic value or a fixed-size array, copied as is;
+//   - an arithmetic value other than bool, or a fixed-size array, copied
+//     as is;
 //   - `as<W>(x)`, sent as wire type W (bool as u8, size_t as u64, an enum
 //     as its code);
 //   - `counted<C>(list)`, a std::vector or std::string preceded by its
@@ -141,7 +142,9 @@ bool visit_field(V& v, F& field) {
     return v.list(field);
   } else if constexpr (is_string<T>) {
     return v.list(counted<std::uint32_t>(field));
-  } else if constexpr (std::is_arithmetic_v<T> || std::is_array_v<T>) {
+  } else if constexpr ((std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) ||
+                       std::is_array_v<T>) {
+    // A bool needs as<u8>: copying an arbitrary byte into one is undefined.
     return v.scalar(field);
   } else {
     return wire<T>::fields(v, field);

@@ -93,7 +93,8 @@ struct wire<net::wire_metrics> {
   static bool fields(V& v, R& m) {
     return v(counted<std::uint32_t>(m.snapshot.counters),
              counted<std::uint32_t>(m.snapshot.gauges),
-             counted<std::uint32_t>(m.snapshot.histograms), counted<std::uint32_t>(m.slow));
+             counted<std::uint32_t>(m.snapshot.histograms),
+             counted<std::uint32_t>(m.slow));
   }
 };
 

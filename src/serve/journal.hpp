@@ -37,9 +37,12 @@
 // single-shard records, which commit individually as before.
 //
 // Torn tails are expected (power loss mid-append): scanning stops at the
-// first record whose frame is truncated or whose CRC fails, reports the
-// byte offset of the last complete record, and the writer truncates there
-// before resuming appends. Durability is group-committed: records are
+// first record whose frame is truncated, whose CRC fails, or whose body
+// does not parse exactly, reports the byte offset of the last complete
+// record, and the writer truncates there before resuming appends. One
+// field list writes and reads every record (the codec in
+// ms/spectrum_wire.hpp); its reader caps the batch count by the record's
+// bytes before it allocates. Durability is group-committed: records are
 // written immediately (one write() each) but fsynced only every
 // `group_commit_records` or `group_commit_interval`, whichever trips
 // first, so a power cut can cost at most the un-synced tail — never a

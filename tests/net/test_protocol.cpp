@@ -286,13 +286,15 @@ TEST(NetProtocol, IngestCountIsBoundedByTheSmallestSpectrum) {
   // An empty spectrum takes 40 wire bytes. A count that only fits at one
   // byte per spectrum must be refused before the batch is allocated.
   {
-    const auto bytes = zero_padded_frame(msg_type::ingest, le_bytes<std::uint64_t>(4096), 4096);
+    const auto bytes =
+        zero_padded_frame(msg_type::ingest, le_bytes<std::uint64_t>(4096), 4096);
     std::vector<ms::spectrum> batch;
     EXPECT_FALSE(parse_ingest_request(decode_one(bytes), batch));
     EXPECT_TRUE(batch.empty());
   }
   {
-    const auto bytes = zero_padded_frame(msg_type::ingest, le_bytes<std::uint64_t>(102), 4080);
+    const auto bytes =
+        zero_padded_frame(msg_type::ingest, le_bytes<std::uint64_t>(102), 4080);
     std::vector<ms::spectrum> batch;
     ASSERT_TRUE(parse_ingest_request(decode_one(bytes), batch));
     ASSERT_EQ(batch.size(), 102U);
