@@ -8,8 +8,8 @@ namespace spechd::hdc {
 id_level_encoder::id_level_encoder(const encoder_config& config, std::size_t mz_bins,
                                    std::size_t intensity_levels)
     : config_(config),
-      ids_(config.dim, mz_bins, config.seed),
-      levels_(config.dim, intensity_levels, config.seed),
+      ids_(shared_id_memory(config.dim, mz_bins, config.seed)),
+      levels_(shared_level_memory(config.dim, intensity_levels, config.seed)),
       tiebreak_(hypervector(config.dim)) {
   xoshiro256ss rng(config.seed ^ 0x71EB4EA7B17EULL);
   tiebreak_ = hypervector::random(config.dim, rng);
@@ -17,10 +17,12 @@ id_level_encoder::id_level_encoder(const encoder_config& config, std::size_t mz_
 
 hypervector id_level_encoder::encode(const preprocess::quantized_spectrum& s) const {
   // at() range-checks every bin and level before the kernel reads raw rows.
+  const auto& ids = *ids_;
+  const auto& levels = *levels_;
   std::vector<kernels::bind_rows> rows;
   rows.reserve(s.peaks.size());
   for (const auto& peak : s.peaks) {
-    rows.push_back({ids_.at(peak.mz_bin).data(), levels_.at(peak.level).data()});
+    rows.push_back({ids.at(peak.mz_bin).data(), levels.at(peak.level).data()});
   }
   hypervector out(config_.dim);
   kernels::encode_majority(rows.data(), rows.size(), out.word_count(),

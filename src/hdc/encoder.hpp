@@ -9,9 +9,15 @@
 // Ties (possible when the peak count is even) are broken by a fixed,
 // seed-derived tiebreaker vector so encoding stays deterministic — the
 // hardware uses the carry-out of its accumulator tree the same way.
+//
+// Like the hardware, which allocates the ID and Level memories once at
+// configuration time, a process holds one table set per (dim, seed, f, q):
+// an encoder only points at the process-wide tables (item_memory.hpp), so
+// building one more encoder costs a cache lookup, not a table generation.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "hdc/hypervector.hpp"
@@ -29,8 +35,8 @@ struct encoder_config {
   std::uint64_t seed = 0xC0FFEE;  ///< item-memory seed
 };
 
-/// Encodes quantised spectra into binary hypervectors. The item memories
-/// are built once per (config, f, q) and reused across buckets.
+/// Encodes quantised spectra into binary hypervectors over the process-wide
+/// item memories for (config, f, q).
 class id_level_encoder {
 public:
   /// f = number of m/z bins (ID vectors), q = number of intensity levels.
@@ -38,8 +44,8 @@ public:
                    std::size_t intensity_levels);
 
   std::size_t dim() const noexcept { return config_.dim; }
-  const id_memory& ids() const noexcept { return ids_; }
-  const level_memory& levels() const noexcept { return levels_; }
+  const id_memory& ids() const noexcept { return *ids_; }
+  const level_memory& levels() const noexcept { return *levels_; }
   /// Deterministic tie-break donor for even peak counts (seed-derived).
   const hypervector& tiebreak() const noexcept { return tiebreak_; }
 
@@ -56,8 +62,8 @@ public:
 
 private:
   encoder_config config_;
-  id_memory ids_;
-  level_memory levels_;
+  std::shared_ptr<const id_memory> ids_;
+  std::shared_ptr<const level_memory> levels_;
   hypervector tiebreak_;
 };
 

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <numeric>
+#include <tuple>
 
 #include "util/rng.hpp"
 
@@ -67,6 +70,60 @@ std::size_t level_memory::expected_hamming(std::size_t a, std::size_t b) const n
   const auto fa = flip_counts_[std::min(a, flip_counts_.size() - 1)];
   const auto fb = flip_counts_[std::min(b, flip_counts_.size() - 1)];
   return fa > fb ? fa - fb : fb - fa;
+}
+
+namespace {
+
+using table_key = std::tuple<std::size_t, std::size_t, std::uint64_t>;  // dim, rows, seed
+
+struct item_memory_cache {
+  std::mutex mutex;
+  std::map<table_key, std::shared_ptr<const id_memory>> ids;
+  std::map<table_key, std::shared_ptr<const level_memory>> levels;
+  std::size_t bytes = 0;
+};
+
+item_memory_cache& cache() {
+  // Leaked on purpose, like the metrics registry: the tables live until the
+  // process exits, and no exit-time destructor can pull one from under a
+  // late caller.
+  static auto* self = new item_memory_cache();
+  return *self;
+}
+
+// Generates under the cache lock, so concurrent first callers of one key
+// wait for a single table; a constructor that throws inserts nothing.
+template <typename Memory>
+std::shared_ptr<const Memory> shared_table(
+    item_memory_cache& c, std::map<table_key, std::shared_ptr<const Memory>>& tables,
+    std::size_t dim, std::size_t rows, std::uint64_t seed) {
+  std::lock_guard lock(c.mutex);
+  const table_key key{dim, rows, seed};
+  if (const auto it = tables.find(key); it != tables.end()) return it->second;
+  std::shared_ptr<const Memory> table = std::make_shared<Memory>(dim, rows, seed);
+  tables.emplace(key, table);
+  c.bytes += rows * (dim / 8);
+  return table;
+}
+
+}  // namespace
+
+std::shared_ptr<const id_memory> shared_id_memory(std::size_t dim, std::size_t count,
+                                                  std::uint64_t seed) {
+  auto& c = cache();
+  return shared_table(c, c.ids, dim, count, seed);
+}
+
+std::shared_ptr<const level_memory> shared_level_memory(std::size_t dim, std::size_t levels,
+                                                        std::uint64_t seed) {
+  auto& c = cache();
+  return shared_table(c, c.levels, dim, levels, seed);
+}
+
+std::size_t shared_item_memory_bytes() {
+  auto& c = cache();
+  std::lock_guard lock(c.mutex);
+  return c.bytes;
 }
 
 }  // namespace spechd::hdc

@@ -17,9 +17,17 @@
 // Each is one contiguous, 64-byte-aligned, row-major table, so the encode
 // kernel streams rows in place; this header is the only place that knows
 // the layout, and at() hands out range-checked rows.
+//
+// A process holds one copy per key: shared_id_memory/shared_level_memory
+// generate a table on its first request and hand every later caller (each
+// id_level_encoder — shard clusterers, the query encoder, library builds,
+// journal replay) the same immutable table, which lives until the process
+// exits. The constructors below stay public for one-off tables and as the
+// oracle the cache is tested against.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -88,5 +96,19 @@ private:
   hv_table table_;
   std::vector<std::size_t> flip_counts_;
 };
+
+/// The process-wide ID table for (dim, count, seed): generated on the first
+/// call for that key, then shared read-only by every caller until the
+/// process exits. Thread-safe; concurrent first calls generate it once. A
+/// shape the constructor rejects throws and caches nothing.
+std::shared_ptr<const id_memory> shared_id_memory(std::size_t dim, std::size_t count,
+                                                  std::uint64_t seed);
+
+/// The process-wide Level table for (dim, levels, seed); as shared_id_memory.
+std::shared_ptr<const level_memory> shared_level_memory(std::size_t dim, std::size_t levels,
+                                                        std::uint64_t seed);
+
+/// Row bytes (rows × dim/8) of every table the process-wide cache holds.
+std::size_t shared_item_memory_bytes();
 
 }  // namespace spechd::hdc

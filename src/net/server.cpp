@@ -145,7 +145,13 @@ server::server(serve::clustering_service& service, server_config config)
   thread_ = std::thread([this] { loop(); });
 }
 
-server::~server() { stop(); }
+server::~server() {
+  stop();
+  // Closed only here, after the join: request_stop() may run again until
+  // the object dies (stop() is idempotent), and a descriptor closed by the
+  // loop could be reused by then, taking the wakeup's 8 bytes.
+  ::close(wake_fd_);
+}
 
 void server::request_stop() noexcept {
   // Only async-signal-safe operations: one relaxed store + one write(2).
@@ -241,7 +247,6 @@ void server::loop() {
   open_.store(0, std::memory_order_relaxed);
   ::close(listen_fd_);
   ::close(epoll_fd_);
-  ::close(wake_fd_);
   listen_fd_ = epoll_fd_ = -1;
 }
 

@@ -146,7 +146,7 @@ private:
   std::size_t shed_threshold_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;
+  int wake_fd_ = -1;  ///< closed by ~server() after the join, never by the loop
   std::uint16_t port_ = 0;
   std::unordered_map<int, connection> connections_;
   std::atomic<bool> stop_requested_{false};

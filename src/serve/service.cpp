@@ -41,6 +41,11 @@ clustering_service::clustering_service(serve_config config)
         std::make_unique<shard>(s, pipeline, config_.mode, config_.queue_capacity));
   }
   if (journaled()) attach_journal_dir();
+  // The query encoder, every shard clusterer and recovery's replay
+  // clusterers read one process-wide table set; publish what it holds.
+  static auto& item_memory_bytes =
+      obs::registry::instance().gauge("spechd_item_memory_bytes");
+  item_memory_bytes.set(static_cast<std::int64_t>(hdc::shared_item_memory_bytes()));
   if (config_.maintenance.enabled) {
     maintenance_scheduler::hooks hooks;
     hooks.run_maintenance = [this] {

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <latch>
 #include <numeric>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "hdc/cpu_kernels.hpp"
@@ -191,6 +193,110 @@ TEST(IdMemory, EncodeRejectsOutOfRangePeaksUnderEveryVariant) {
     }
   }
   kernels::set_active(saved);
+}
+
+// --- the process-wide cache ---------------------------------------------------
+//
+// The cache never drops a table, and other suites (or an earlier
+// --gtest_repeat iteration) fill it too, so byte checks compare deltas over
+// keys whose seed no earlier call in this process has used.
+
+std::uint64_t fresh_seed() {
+  static std::uint64_t next = 0x5EED'0000'0000'0000ULL;
+  return next++;
+}
+
+std::size_t table_set_bytes(std::size_t dim, std::size_t bins, std::size_t levels) {
+  return (bins + levels) * (dim / 8);
+}
+
+TEST(ItemMemoryCache, EncodersWithOneKeyShareRows) {
+  const encoder_config config{.dim = 512, .seed = fresh_seed()};
+  const auto before = shared_item_memory_bytes();
+  const id_level_encoder a(config, 100, 16);
+  const id_level_encoder b(config, 100, 16);
+  EXPECT_EQ(a.ids().at(0).data(), b.ids().at(0).data());
+  EXPECT_EQ(a.levels().at(0).data(), b.levels().at(0).data());
+  EXPECT_EQ(a.ids().at(0).data(), shared_id_memory(512, 100, config.seed)->at(0).data());
+  EXPECT_EQ(shared_item_memory_bytes() - before, table_set_bytes(512, 100, 16));
+}
+
+TEST(ItemMemoryCache, DifferentDimCountOrSeedGetsADifferentTable) {
+  const std::uint64_t seed = 0x5EED'1000'0000'0000ULL;
+  const id_level_encoder base(encoder_config{.dim = 512, .seed = seed}, 100, 16);
+  const id_level_encoder wider(encoder_config{.dim = 1024, .seed = seed}, 100, 16);
+  const id_level_encoder more_rows(encoder_config{.dim = 512, .seed = seed}, 101, 17);
+  const id_level_encoder reseeded(encoder_config{.dim = 512, .seed = seed + 1}, 100, 16);
+  for (const auto* other : {&wider, &more_rows, &reseeded}) {
+    EXPECT_NE(base.ids().at(0).data(), other->ids().at(0).data());
+    EXPECT_NE(base.levels().at(0).data(), other->levels().at(0).data());
+  }
+  EXPECT_EQ(wider.dim(), 1024U);
+  EXPECT_EQ(more_rows.ids().size(), 101U);
+  EXPECT_EQ(more_rows.levels().size(), 17U);
+  EXPECT_FALSE(same_row(base.ids().at(0), reseeded.ids().at(0)));
+}
+
+TEST(ItemMemoryCache, CachedRowsEqualFreshlyConstructedTables) {
+  for (const std::size_t dim : {192UL, 2048UL}) {
+    const std::uint64_t seed = 0x5EED'1000'0000'0002ULL;
+    const auto cached_ids = shared_id_memory(dim, 300, seed);
+    const id_memory fresh_ids(dim, 300, seed);
+    ASSERT_EQ(cached_ids->size(), fresh_ids.size());
+    for (std::size_t i = 0; i < fresh_ids.size(); ++i) {
+      EXPECT_TRUE(same_row(cached_ids->at(i), fresh_ids.at(i))) << "dim " << dim << " id " << i;
+    }
+    const auto cached_levels = shared_level_memory(dim, 32, seed);
+    const level_memory fresh_levels(dim, 32, seed);
+    ASSERT_EQ(cached_levels->size(), fresh_levels.size());
+    for (std::size_t l = 0; l < fresh_levels.size(); ++l) {
+      EXPECT_TRUE(same_row(cached_levels->at(l), fresh_levels.at(l)))
+          << "dim " << dim << " level " << l;
+      EXPECT_EQ(cached_levels->expected_hamming(0, l), fresh_levels.expected_hamming(0, l));
+    }
+  }
+}
+
+TEST(ItemMemoryCache, ConcurrentFirstBuildsOfOneKeyGetOneTable) {
+  const encoder_config config{.dim = 512, .seed = fresh_seed()};
+  const auto before = shared_item_memory_bytes();
+  constexpr std::size_t k_threads = 8;
+  std::vector<const std::uint64_t*> id_rows(k_threads);
+  std::vector<const std::uint64_t*> level_rows(k_threads);
+  std::latch start(k_threads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < k_threads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      const id_level_encoder encoder(config, 2000, 64);
+      id_rows[t] = encoder.ids().at(0).data();
+      level_rows[t] = encoder.levels().at(0).data();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 1; t < k_threads; ++t) {
+    EXPECT_EQ(id_rows[t], id_rows[0]) << "thread " << t;
+    EXPECT_EQ(level_rows[t], level_rows[0]) << "thread " << t;
+  }
+  EXPECT_EQ(shared_item_memory_bytes() - before, table_set_bytes(512, 2000, 64));
+}
+
+TEST(ItemMemoryCache, ThrowingConstructionLeavesNoEntry) {
+  const std::uint64_t seed = fresh_seed();
+  const auto before = shared_item_memory_bytes();
+  // dim 100 is not a multiple of 64: the table constructor rejects it.
+  EXPECT_THROW(id_level_encoder(encoder_config{.dim = 100, .seed = seed}, 100, 16),
+               logic_error);
+  EXPECT_THROW((void)shared_level_memory(100, 16, seed), logic_error);
+  EXPECT_EQ(shared_item_memory_bytes(), before);
+  // Nothing half-built was kept: the same key throws again, and the cache
+  // keeps serving valid keys.
+  EXPECT_THROW((void)shared_id_memory(100, 100, seed), logic_error);
+  const id_level_encoder a(encoder_config{.dim = 128, .seed = seed}, 100, 16);
+  const id_level_encoder b(encoder_config{.dim = 128, .seed = seed}, 100, 16);
+  EXPECT_EQ(a.ids().at(99).data(), b.ids().at(99).data());
+  EXPECT_TRUE(same_row(a.ids().at(99), id_memory(128, 100, seed).at(99)));
+  EXPECT_EQ(shared_item_memory_bytes() - before, table_set_bytes(128, 100, 16));
 }
 
 }  // namespace

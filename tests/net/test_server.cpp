@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -14,6 +15,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -436,6 +438,34 @@ TEST(NetServer, GracefulStopFlushesAndJoins) {
   srv.reset();
   service.drain();
   EXPECT_GT(service.stats().record_count, 0u);
+}
+
+// Destroying a stopped server must not write its 8-byte wakeup into a
+// descriptor number reused since the loop exited — under `serve --listen`
+// that can be a journal or snapshot the shutdown path opens. Every file
+// opened after stop() stays empty when the server is destroyed.
+TEST(NetServer, DestroyingAStoppedServerWritesIntoNoReusedDescriptor) {
+  serve::clustering_service service(make_serve_config(1));
+  auto srv = std::make_unique<server>(service, server_config{});
+  srv->stop();
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("spechd_net_fd_reuse_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::vector<std::filesystem::path> paths;
+  std::vector<int> fds;
+  for (int i = 0; i < 8; ++i) {
+    paths.push_back(dir / ("file-" + std::to_string(i)));
+    fds.push_back(::open(paths.back().c_str(), O_CREAT | O_TRUNC | O_RDWR | O_CLOEXEC, 0600));
+    ASSERT_GE(fds.back(), 0);
+  }
+  srv.reset();
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    EXPECT_EQ(std::filesystem::file_size(paths[i]), 0u)
+        << paths[i] << " (fd " << fds[i] << ") took bytes from a destroyed server";
+    ::close(fds[i]);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

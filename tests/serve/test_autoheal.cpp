@@ -98,6 +98,12 @@ TEST(AutoHeal, IntermittentAppendErrorHealsWithoutOperator) {
   // No compact_journal() call here: the scheduler must do it.
   ASSERT_TRUE(eventually([&] { return service.stats().degraded_shards == 0; }))
       << "shard never auto-healed";
+  // The shard reads healthy while heal() is still returning; the scheduler
+  // counts the heal only after it returns, so wait for the counter too.
+  ASSERT_TRUE(eventually([&] {
+    const auto m = service.maintenance_stats();
+    return m && m->heals >= 1;
+  })) << "the scheduler never counted the heal";
 
   const auto maintenance = service.maintenance_stats();
   ASSERT_TRUE(maintenance.has_value());
@@ -142,6 +148,11 @@ TEST(AutoHeal, PersistentFailureBacksOffThenHealsWhenCleared) {
   util::registry().disarm("snapshot.rename");
   ASSERT_TRUE(eventually([&] { return service.stats().degraded_shards == 0; }))
       << "shard never healed after the I/O condition cleared";
+  // As above: the heal is counted only after heal() returns.
+  ASSERT_TRUE(eventually([&] {
+    const auto m = service.maintenance_stats();
+    return m && m->heals >= 1;
+  })) << "the scheduler never counted the heal";
   EXPECT_GE(service.maintenance_stats()->heals, 1u);
 
   service.ingest({stream.begin() + static_cast<std::ptrdiff_t>(split), stream.end()});

@@ -3,15 +3,22 @@
 // safe to run concurrently with it.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <future>
 #include <map>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/incremental.hpp"
+#include "hdc/item_memory.hpp"
 #include "ms/synthetic.hpp"
+#include "obs/metrics.hpp"
 #include "serve/service.hpp"
 
 namespace spechd::serve {
@@ -350,6 +357,92 @@ TEST(ClusteringService, StatsAggregateShards) {
   for (const auto& s : stats.shards) records += s.record_count;
   EXPECT_EQ(records, stats.record_count);
   EXPECT_EQ(stats.ingested + stats.dropped, stream.size());
+}
+
+// --- one item memory per process ------------------------------------------
+//
+// The cache never drops a table, and other suites (or an earlier
+// --gtest_repeat iteration) fill it too, so byte checks compare deltas over
+// keys whose seed no earlier call in this process has used. A narrow m/z
+// grid keeps each such key's tables small.
+
+core::spechd_config fresh_key_config(std::size_t dim) {
+  static std::uint64_t next_seed = 0x5EED'2000'0000'0000ULL;
+  auto config = small_config();
+  config.encoder.dim = dim;
+  config.encoder.seed = next_seed++;
+  config.preprocess.quantize.mz_bins = 2000;
+  return config;
+}
+
+std::size_t table_set_bytes(const core::spechd_config& config) {
+  const auto& q = config.preprocess.quantize;
+  return (q.mz_bins + q.intensity_levels) * (config.encoder.dim / 8);
+}
+
+TEST(ItemMemoryCache, ServiceShardsQueryEncoderAndReplayShareOneTableSet) {
+  const auto config = fresh_key_config(512);
+  const auto before = hdc::shared_item_memory_bytes();
+  {
+    serve_config sc;
+    sc.pipeline = config;
+    sc.shards = 3;
+    clustering_service service(sc);
+    EXPECT_EQ(hdc::shared_item_memory_bytes() - before, table_set_bytes(config));
+    // Held by the cache, the query encoder, each shard's clusterer, and here.
+    const auto ids = hdc::shared_id_memory(config.encoder.dim,
+                                           config.preprocess.quantize.mz_bins,
+                                           config.encoder.seed);
+    EXPECT_EQ(ids.use_count(), 1 + 1 + 3 + 1);
+  }
+  // A journaled service also replays its directory through one standalone
+  // clusterer per shard; those read the same tables.
+  const auto dir = (std::filesystem::temp_directory_path() /
+                    ("spechd_item_memory_" + std::to_string(::getpid())))
+                       .string();
+  std::filesystem::remove_all(dir);
+  serve_config journaled;
+  journaled.pipeline = config;
+  journaled.shards = 2;
+  journaled.journal.dir = dir;
+  journaled.journal.fsync = false;
+  std::size_t records = 0;
+  {
+    clustering_service service(journaled);
+    service.ingest(sample_stream(6, 3));
+    service.drain();
+    records = service.stats().record_count;
+  }
+  {
+    clustering_service service(journaled);
+    EXPECT_TRUE(service.recovery().recovered);
+    EXPECT_GT(records, 0u);
+    EXPECT_EQ(service.stats().record_count, records);
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(hdc::shared_item_memory_bytes() - before, table_set_bytes(config));
+}
+
+TEST(ItemMemoryCache, GaugeReportsTheBytesOfEveryKey) {
+  auto& gauge = obs::registry::instance().gauge("spechd_item_memory_bytes");
+  const auto first = fresh_key_config(512);
+  const auto second = fresh_key_config(1024);
+  const auto before = static_cast<std::int64_t>(hdc::shared_item_memory_bytes());
+  const auto service_for = [](const core::spechd_config& pipeline) {
+    serve_config sc;
+    sc.pipeline = pipeline;
+    sc.shards = 2;
+    return std::make_unique<clustering_service>(sc);
+  };
+  auto a = service_for(first);
+  EXPECT_EQ(gauge.value(), before + static_cast<std::int64_t>(table_set_bytes(first)));
+  auto b = service_for(second);
+  const auto both =
+      before + static_cast<std::int64_t>(table_set_bytes(first) + table_set_bytes(second));
+  EXPECT_EQ(gauge.value(), both);
+  // A third service over an existing key generates nothing.
+  auto c = service_for(first);
+  EXPECT_EQ(gauge.value(), both);
 }
 
 }  // namespace
