@@ -293,20 +293,38 @@ clusterer_state incremental_clusterer::export_state() const {
   return state;
 }
 
+std::string partition_error(const clusterer_state& state) {
+  std::vector<bool> seen(state.store.size(), false);
+  for (const auto& snap : state.buckets) {
+    for (const auto idx : snap.members) {
+      if (idx >= seen.size() || seen[idx]) {
+        return "bucket " + std::to_string(snap.key) + ": invalid or duplicate record index " +
+               std::to_string(idx);
+      }
+      seen[idx] = true;
+    }
+  }
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    if (!seen[i]) return "record " + std::to_string(i) + " is in no bucket";
+  }
+  return {};
+}
+
 void incremental_clusterer::import_state(clusterer_state state) {
   if (state.store.size() > 0 && state.store.dim() != config_.encoder.dim) {
     throw spechd::error("clusterer_state dimension " + std::to_string(state.store.dim()) +
                         " does not match configured dim " +
                         std::to_string(config_.encoder.dim));
   }
-  const std::size_t n = state.store.size();
-  // The buckets must partition [0, n): every record in exactly one bucket,
-  // labels aligned with members and consistent with next_local, and every
-  // member's bucket key must agree with this config's bucketing (otherwise
-  // future pushes would route the same precursor to a different bucket).
-  // Every cluster is founded by a member, so next_local cannot exceed the
-  // member count: a larger one would size each select's scratch by it.
-  std::vector<bool> seen(n, false);
+  // The buckets must partition the records, labels must align with members
+  // and stay below next_local, and every member's bucket key must agree
+  // with this config's bucketing (otherwise future pushes would route the
+  // same precursor to a different bucket). Every cluster is founded by a
+  // member, so next_local cannot exceed the member count: a larger one
+  // would size each select's scratch by it.
+  if (const auto why = partition_error(state); !why.empty()) {
+    throw spechd::error("clusterer_state " + why);
+  }
   std::int64_t previous_key = 0;
   bool first = true;
   for (const auto& snap : state.buckets) {
@@ -326,11 +344,6 @@ void incremental_clusterer::import_state(clusterer_state state) {
     }
     for (std::size_t i = 0; i < snap.members.size(); ++i) {
       const auto idx = snap.members[i];
-      if (idx >= n || seen[idx]) {
-        throw spechd::error("clusterer_state bucket " + std::to_string(snap.key) +
-                            ": invalid or duplicate record index " + std::to_string(idx));
-      }
-      seen[idx] = true;
       const auto label = snap.local_labels[i];
       if (label < 0 || label >= snap.next_local) {
         throw spechd::error("clusterer_state bucket " + std::to_string(snap.key) +
@@ -349,13 +362,6 @@ void incremental_clusterer::import_state(clusterer_state state) {
       }
     }
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!seen[i]) {
-      throw spechd::error("clusterer_state: record " + std::to_string(i) +
-                          " is in no bucket");
-    }
-  }
-
   records_.clear();
   for (const auto& r : state.store.records()) {
     records_.push_back({r.precursor_mz, r.precursor_charge, r.scan, r.label});

@@ -32,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "cluster/nn_chain.hpp"
@@ -65,6 +66,11 @@ struct clusterer_state {
   hdc::hv_store store;
   std::vector<bucket_snapshot> buckets;  ///< ascending bucket key
 };
+
+/// Empty when the buckets' members partition the store's records (every
+/// index in range, each record in exactly one bucket); otherwise what
+/// breaks the partition. Checked before any restore follows an index.
+std::string partition_error(const clusterer_state& state);
 
 /// Result of one incremental update.
 struct update_report {

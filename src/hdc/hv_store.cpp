@@ -1,30 +1,28 @@
 #include "hdc/hv_store.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
 
 #include "util/error.hpp"
+#include "util/io.hpp"
 
 namespace spechd::hdc {
 
 namespace {
 
-constexpr char k_magic[4] = {'S', 'P', 'H', 'V'};
-constexpr std::uint32_t k_version = 1;
-
-template <typename T>
-void write_pod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in, const std::string& source) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw parse_error(source, 0, "truncated hv_store");
-  return v;
+hv_store parse_store(const std::string& bytes, const std::string& source) {
+  hv_store store;
+  ms::wire_reader reader{{bytes.data(), bytes.size()}};
+  if (!reader(store)) {
+    throw parse_error(source, 0,
+                      reader.error.empty()
+                          ? "truncated hv_store (its count or dimension runs past its bytes)"
+                          : reader.error);
+  }
+  if (!reader.done()) throw parse_error(source, 0, "trailing bytes after the hv_store");
+  return store;
 }
 
 }  // namespace
@@ -40,27 +38,14 @@ void hv_store::append(hv_record record) {
 }
 
 std::size_t hv_store::file_bytes() const noexcept {
-  const std::size_t header = 4 + 4 + 4 + 8 + 8;
-  const std::size_t per_record = 8 + 4 + 4 + 4 + 4 + dim_ / 8;
-  return header + records_.size() * per_record;
+  ms::wire_sizer size;
+  size(*this);
+  return size.bytes;
 }
 
 void hv_store::save(std::ostream& out) const {
-  out.write(k_magic, 4);
-  write_pod(out, k_version);
-  write_pod(out, static_cast<std::uint32_t>(dim_));
-  write_pod(out, static_cast<std::uint64_t>(records_.size()));
-  write_pod(out, seed_);
-  for (const auto& r : records_) {
-    write_pod(out, r.precursor_mz);
-    write_pod(out, r.precursor_charge);
-    write_pod(out, r.scan);
-    write_pod(out, r.label);
-    write_pod(out, std::uint32_t{0});  // pad / reserved
-    const auto words = r.hv.words();
-    out.write(reinterpret_cast<const char*>(words.data()),
-              static_cast<std::streamsize>(words.size() * sizeof(std::uint64_t)));
-  }
+  const auto bytes = ms::encode_fields([this](auto& v) { return v(*this); });
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!out) throw io_error("hv_store write failure");
 }
 
@@ -71,46 +56,14 @@ void hv_store::save_file(const std::string& path) const {
 }
 
 hv_store hv_store::load(std::istream& in, const std::string& source_name) {
-  char magic[4] = {};
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, k_magic, 4) != 0) {
-    throw parse_error(source_name, 0, "not an hv_store file (bad magic)");
-  }
-  const auto version = read_pod<std::uint32_t>(in, source_name);
-  if (version != k_version) {
-    throw parse_error(source_name, 0,
-                      "unsupported hv_store version " + std::to_string(version));
-  }
-  const auto dim = read_pod<std::uint32_t>(in, source_name);
-  if (dim == 0 || dim % 64 != 0) {
-    throw parse_error(source_name, 0, "invalid hv dimension " + std::to_string(dim));
-  }
-  const auto count = read_pod<std::uint64_t>(in, source_name);
-  const auto seed = read_pod<std::uint64_t>(in, source_name);
-
-  hv_store store(dim, seed);
-  store.records_.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    hv_record r;
-    r.precursor_mz = read_pod<double>(in, source_name);
-    r.precursor_charge = read_pod<std::int32_t>(in, source_name);
-    r.scan = read_pod<std::uint32_t>(in, source_name);
-    r.label = read_pod<std::int32_t>(in, source_name);
-    (void)read_pod<std::uint32_t>(in, source_name);  // pad
-    r.hv = hypervector(dim);
-    const auto words = r.hv.words();
-    in.read(reinterpret_cast<char*>(words.data()),
-            static_cast<std::streamsize>(words.size() * sizeof(std::uint64_t)));
-    if (!in) throw parse_error(source_name, 0, "truncated hv_store record");
-    store.records_.push_back(std::move(r));
-  }
-  return store;
+  const std::string bytes{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  return parse_store(bytes, source_name);
 }
 
 hv_store hv_store::load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw io_error("cannot open hv_store file: " + path);
-  return load(in, path);
+  const auto bytes = util::read_file(path);
+  if (!bytes) throw io_error("cannot open hv_store file: " + path);
+  return parse_store(*bytes, path);
 }
 
 }  // namespace spechd::hdc

@@ -11,7 +11,9 @@
 // repository keeps the store instead of raw peak lists (24-108x smaller)
 // and re-clusters or appends without re-encoding.
 //
-// Format (little-endian):
+// Format (little-endian), one field list of the codec in
+// ms/spectrum_wire.hpp (wire<hv_store> below). A `.sphv` file holds it
+// alone; each shard of a `.sphsnap` snapshot embeds it.
 //   magic  "SPHV"            4 B
 //   version u32              (currently 1)
 //   dim     u32              bits per HV (multiple of 64)
@@ -19,6 +21,9 @@
 //   seed    u64              item-memory seed the HVs were encoded with
 //   records: count x { precursor_mz f64, charge i32, scan u32, label i32,
 //                      pad u32, words dim/64 x u64 }
+// A `.sphv` carries no CRC, so the reader trusts nothing it cannot bound:
+// the record count, and with it the dimension, must fit the bytes left
+// before any record is allocated.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +32,7 @@
 #include <vector>
 
 #include "hdc/hypervector.hpp"
+#include "ms/spectrum_wire.hpp"
 
 namespace spechd::hdc {
 
@@ -61,16 +67,47 @@ public:
   /// Byte size of the serialised store (header + records).
   std::size_t file_bytes() const noexcept;
 
-  /// Serialisation. Throws spechd::io_error / parse_error on failure.
+  /// Serialisation. Throws spechd::io_error / parse_error on failure; a
+  /// loaded store must end exactly where its records do.
   void save(std::ostream& out) const;
   void save_file(const std::string& path) const;
   static hv_store load(std::istream& in, const std::string& source_name = "<hv_store>");
   static hv_store load_file(const std::string& path);
 
 private:
+  friend struct ms::wire<hv_store>;
+
   std::size_t dim_ = 0;
   std::uint64_t seed_ = 0;
   std::vector<hv_record> records_;
 };
 
 }  // namespace spechd::hdc
+
+template <>
+struct spechd::ms::wire<spechd::hdc::hv_store> {
+  template <typename V, typename S>
+  static bool fields(V& v, S& s) {
+    char magic[4] = {'S', 'P', 'H', 'V'};
+    std::uint32_t version = 1;
+    auto count = static_cast<std::uint64_t>(s.records_.size());
+    if (!v(magic) || !v.valid(std::memcmp(magic, "SPHV", 4) == 0,
+                              "not an hv_store file (bad magic)") ||
+        !v(version) ||
+        !v.valid(version == 1,
+                 [&] { return "unsupported hv_store version " + std::to_string(version); }) ||
+        !v(as<std::uint32_t>(s.dim_)) ||
+        !v.valid(s.dim_ != 0 && s.dim_ % 64 == 0,
+                 [&] { return "invalid hv dimension " + std::to_string(s.dim_); }) ||
+        !v(count, s.seed_)) {
+      return false;
+    }
+    const std::size_t dim = s.dim_;
+    return v(given(count, s.records_, [dim](auto& v, auto& r) {
+      std::uint32_t pad = 0;  // reserved
+      if constexpr (std::remove_reference_t<decltype(v)>::reads) r.hv = hdc::hypervector(dim);
+      return v(r.precursor_mz, r.precursor_charge, r.scan, r.label, pad,
+               words(r.hv.words().data(), dim / 64));
+    }));
+  }
+};

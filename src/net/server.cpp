@@ -322,6 +322,11 @@ void server::handle_readable(int fd, connection& conn) {
   // buffered (and the stall sweep times it out if it never completes).
   std::size_t consumed = 0;
   while (!conn.closing) {
+    // A traced request's clock starts before decode_frame, so its span
+    // covers the loop-side CRC check. decode_frame checks the CRC only once
+    // the whole frame is buffered: each frame's CRC is counted once.
+    const auto start = obs::armed() ? std::chrono::steady_clock::now()
+                                    : std::chrono::steady_clock::time_point{};
     frame_view frame;
     const auto status = decode_frame(conn.inbuf.data() + consumed,
                                      conn.inbuf.size() - consumed,
@@ -339,7 +344,7 @@ void server::handle_readable(int fd, connection& conn) {
       break;
     }
     consumed += frame.frame_bytes;
-    process_frame(fd, conn, frame);
+    process_frame(fd, conn, frame, start);
   }
   conn.inbuf.erase(0, consumed);
 
@@ -351,7 +356,8 @@ void server::handle_readable(int fd, connection& conn) {
   if (conn.closing && conn.out_pos == conn.outbuf.size()) close_connection(fd);
 }
 
-void server::process_frame(int fd, connection& conn, const frame_view& frame) {
+void server::process_frame(int fd, connection& conn, const frame_view& frame,
+                           std::chrono::steady_clock::time_point start) {
   (void)fd;
   requests_.fetch_add(1, std::memory_order_relaxed);
   net_requests_total().add(1);
@@ -404,13 +410,12 @@ void server::process_frame(int fd, connection& conn, const frame_view& frame) {
     case msg_type::query_topk: kind = "search"; total_hist = &search_req_ns; break;
     default: break;
   }
-  if (kind == nullptr || !obs::armed()) {
+  if (kind == nullptr || start == std::chrono::steady_clock::time_point{}) {
     dispatch_frame(conn, frame);
     return;
   }
   obs::request_trace trace;
   obs::trace_scope scope(trace);
-  const auto start = std::chrono::steady_clock::now();
   dispatch_frame(conn, frame);
   const auto total_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -127,7 +127,10 @@ private:
   void loop();
   void accept_ready();
   void handle_readable(int fd, connection& conn);
-  void process_frame(int fd, connection& conn, const frame_view& frame);
+  /// `start` is when the loop began decoding the frame, or the default
+  /// time point when tracing is disarmed (the request is then not timed).
+  void process_frame(int fd, connection& conn, const frame_view& frame,
+                     std::chrono::steady_clock::time_point start);
   /// Post-handshake request dispatch (the body of process_frame, split out
   /// so the per-request trace/timing wrapper stays readable).
   void dispatch_frame(connection& conn, const frame_view& frame);

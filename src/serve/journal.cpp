@@ -7,15 +7,12 @@
 #include <charconv>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "ms/spectrum_wire.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/crc32.hpp"
-#include "util/endian.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/io.hpp"
@@ -24,84 +21,43 @@ namespace spechd::serve {
 
 namespace {
 
-constexpr char k_magic[4] = {'S', 'P', 'J', 'L'};
-/// v2 added the cross-shard transaction fields (txn_id/participants on
-/// ingest-batch records, the commit record kind). Journals are
-/// regenerated by compaction, so no v1 reader remains.
-constexpr std::uint32_t k_version = 2;
+/// The file header frame: magic "SPJL", u32 version, u32 payload length,
+/// payload, u32 CRC-32(payload). v2 added the cross-shard transaction
+/// fields (txn_id/participants on ingest-batch records, the commit record
+/// kind); journals are regenerated by compaction, so no v1 reader remains.
+/// The header payload is a handful of fixed-width fields: anything
+/// claiming more than 4096 bytes is corrupt.
+constexpr ms::file_format k_header{
+    {'S', 'P', 'J', 'L'}, 2, "journal", ".sphjrnl", /*short_length=*/true, 4096};
+/// Enough leading bytes to hold any header frame (16 bytes of magic,
+/// version, length and CRC around the payload).
+constexpr std::size_t k_max_header_frame = 16 + k_header.max_payload;
 /// Sanity bound mirroring the snapshot reader: a corrupted length field
 /// must not drive a huge allocation before the CRC would catch it. One
 /// record is one ingest batch; 1 GiB is far beyond any real batch (and
 /// must be below UINT32_MAX for the comparison to be able to fire).
 constexpr std::uint32_t k_max_record_payload = 1U << 30;
-/// The header payload is a handful of fixed-width fields; anything
-/// claiming more is corrupt, and the bound keeps a bad length field from
-/// allocating before validation.
-constexpr std::uint32_t k_max_header_payload = 4096;
-
-template <typename T>
-void put(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
 
 using cursor = ms::byte_cursor;
 
-void write_header(std::ostream& out, const journal_file_header& header) {
-  std::ostringstream payload_stream(std::ios::binary);
-  put(payload_stream, header.shard_index);
-  put(payload_stream, header.shard_count);
-  put(payload_stream, header.generation);
-  write_snapshot_identity(payload_stream, header.identity);
-  const std::string payload = payload_stream.str();
-
-  out.write(k_magic, 4);
-  put(out, k_version);
-  put(out, static_cast<std::uint32_t>(payload.size()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  put(out, crc32(payload.data(), payload.size()));
+/// The header payload: shard_index, shard_count, generation, identity.
+template <typename V, typename H>
+bool header_fields(V& v, H& header) {
+  return v(header.shard_index, header.shard_count, header.generation, header.identity);
 }
 
-/// Parses the header off `in`; throws parse_error — a journal with a bad
-/// header is unusable, unlike a torn record tail.
-journal_file_header parse_header(cursor& in, const std::string& source) {
-  char magic[4] = {};
-  if (!in.read_bytes(magic, 4) || std::memcmp(magic, k_magic, 4) != 0) {
-    throw parse_error(source, 0, "not a .sphjrnl journal (bad magic)");
-  }
-  std::uint32_t version = 0;
-  if (!in.read(version)) throw parse_error(source, 0, "truncated journal header");
-  if (version != k_version) {
-    // A byte-reversed version number is the signature of a journal copied
-    // over from a big-endian host: name the real problem instead of the
-    // nonsense "version 33554432" (or the CRC mismatch that would follow).
-    if (version == util::byteswap32(k_version)) {
-      throw parse_error(source, 0,
-                        "journal was written by a big-endian host; spechd on-disk "
-                        "formats are little-endian and cannot be read here");
-    }
-    throw parse_error(source, 0, "unsupported journal version " + std::to_string(version));
-  }
-  std::uint32_t payload_bytes = 0;
-  if (!in.read(payload_bytes)) throw parse_error(source, 0, "truncated journal header");
-  if (payload_bytes > k_max_header_payload) {
-    throw parse_error(source, 0, "implausible journal header size");
-  }
-  std::string payload(payload_bytes, '\0');
-  std::uint32_t stored_crc = 0;
-  if (!in.read_bytes(payload.data(), payload_bytes) || !in.read(stored_crc)) {
-    throw parse_error(source, 0, "truncated journal header");
-  }
-  if (stored_crc != crc32(payload.data(), payload.size())) {
-    throw parse_error(source, 0, "journal header CRC mismatch (corrupted file)");
-  }
-  std::istringstream body(payload, std::ios::binary);
-  journal_file_header header;
-  body.read(reinterpret_cast<char*>(&header.shard_index), sizeof(header.shard_index));
-  body.read(reinterpret_cast<char*>(&header.shard_count), sizeof(header.shard_count));
-  body.read(reinterpret_cast<char*>(&header.generation), sizeof(header.generation));
-  if (!body) throw parse_error(source, 0, "truncated journal header payload");
-  header.identity = read_snapshot_identity(body, source);
-  return header;
+ms::frame_result read_header(cursor& in, journal_file_header& header) {
+  return ms::read_file_frame(in, k_header, [&](auto& v) { return header_fields(v, header); });
+}
+
+/// Reads the header off the first bytes of `path`; nullopt when the file
+/// cannot be read.
+std::optional<ms::frame_result> read_header_file(const std::string& path,
+                                                 journal_file_header& header) {
+  const auto bytes = util::read_file(path, k_max_header_frame);
+  if (!bytes) return std::nullopt;
+  cursor in{bytes->data(), bytes->size()};
+  return read_header(in, header);
 }
 
 /// A record's payload layout, one field list for the writer and the
@@ -163,15 +119,14 @@ journal_scan read_journal_file(const std::string& path) {
   if (auto action = fp_open.fire()) {
     throw util::io_failure(util::io_op::open, path, action->error_code);
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw io_error("cannot open journal file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = buffer.str();
-
-  cursor c{bytes.data(), bytes.size()};
+  const auto bytes = util::read_file(path);
+  if (!bytes) throw io_error("cannot open journal file: " + path);
+  cursor c{bytes->data(), bytes->size()};
   journal_scan scan;
-  scan.header = parse_header(c, path);
+  // A journal with a bad header is unusable, unlike a torn record tail.
+  if (const auto header = read_header(c, scan.header); header.status != ms::frame_status::ok) {
+    throw parse_error(path, 0, header.why);
+  }
   scan.valid_bytes = c.pos;
 
   while (c.pos < c.size) {
@@ -211,45 +166,17 @@ journal_scan read_journal_file(const std::string& path) {
 }
 
 journal_header_status probe_journal_header(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return journal_header_status::corrupt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = buffer.str();
-  cursor c{bytes.data(), bytes.size()};
-
-  // Mirror parse_header, classifying "ran out of bytes" (a crash between
-  // file creation and the header write becoming durable — the file holds
-  // a prefix of the correct header and no records) separately from
-  // "bytes present but wrong" (real corruption, never discarded).
-  char magic[4] = {};
-  if (!c.read_bytes(magic, 4)) return journal_header_status::truncated;
-  if (std::memcmp(magic, k_magic, 4) != 0) return journal_header_status::corrupt;
-  std::uint32_t version = 0;
-  if (!c.read(version)) return journal_header_status::truncated;
-  if (version != k_version) return journal_header_status::corrupt;
-  std::uint32_t payload_bytes = 0;
-  if (!c.read(payload_bytes)) return journal_header_status::truncated;
-  if (payload_bytes > k_max_header_payload) return journal_header_status::corrupt;
-  std::string payload(payload_bytes, '\0');
-  std::uint32_t stored_crc = 0;
-  if (!c.read_bytes(payload.data(), payload_bytes) || !c.read(stored_crc)) {
-    return journal_header_status::truncated;
-  }
-  return stored_crc == crc32(payload.data(), payload.size())
-             ? journal_header_status::ok
-             : journal_header_status::corrupt;
+  journal_file_header header;
+  const auto result = read_header_file(path, header);
+  return result ? result->status : journal_header_status::corrupt;
 }
 
 journal_file_header read_journal_header_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw io_error("cannot open journal file: " + path);
-  // Headers are tiny; read a bounded prefix rather than the whole file.
-  std::string bytes(4096, '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  bytes.resize(static_cast<std::size_t>(in.gcount()));
-  cursor c{bytes.data(), bytes.size()};
-  return parse_header(c, path);
+  journal_file_header header;
+  const auto result = read_header_file(path, header);
+  if (!result) throw io_error("cannot open journal file: " + path);
+  if (result->status != ms::frame_status::ok) throw parse_error(path, 0, result->why);
+  return header;
 }
 
 std::string journal_snapshot_path(const std::string& dir, std::uint64_t generation) {
@@ -373,9 +300,8 @@ void journal_writer::open(const journal_head& head, const journal_file_header& h
   } else {
     fd_ = util::open_fd(path_, O_WRONLY | O_CREAT | O_EXCL | O_APPEND | O_CLOEXEC, 0644,
                         fp_open);
-    std::ostringstream header_stream(std::ios::binary);
-    write_header(header_stream, header);
-    const std::string bytes = header_stream.str();
+    std::string bytes;
+    ms::append_file_frame(bytes, k_header, [&](auto& v) { return header_fields(v, header); });
     try {
       util::write_all(fd_, bytes.data(), bytes.size(), path_, fp_header);
       if (config_.fsync) util::fsync_fd(fd_, path_, fp_fsync);

@@ -14,6 +14,7 @@
 //
 //   magic "SPJL", version u32
 //   u32 header_bytes, header payload, u32 CRC-32(header payload)
+//     (the file frame of ms/spectrum_wire.hpp with a u32 length)
 //     header: shard_index u32, shard_count u32, generation u64,
 //             snapshot identity block (same fields as .sphsnap — a journal
 //             is rejected unless the replaying service matches exactly)
@@ -40,9 +41,9 @@
 // first record whose frame is truncated, whose CRC fails, or whose body
 // does not parse exactly, reports the byte offset of the last complete
 // record, and the writer truncates there before resuming appends. One
-// field list writes and reads every record (the codec in
-// ms/spectrum_wire.hpp); its reader caps the batch count by the record's
-// bytes before it allocates. Durability is group-committed: records are
+// field list writes and reads every record, and another the header (the
+// codec in ms/spectrum_wire.hpp); its reader caps the batch count by the
+// record's bytes before it allocates. Durability is group-committed: records are
 // written immediately (one write() each) but fsynced only every
 // `group_commit_records` or `group_commit_interval`, whichever trips
 // first, so a power cut can cost at most the un-synced tail — never a
@@ -142,12 +143,13 @@ journal_scan read_journal_file(const std::string& path);
 /// Reads just the verified header (cheap — no record scan).
 journal_file_header read_journal_header_file(const std::string& path);
 
-/// Classifies a journal file's header without throwing: `ok` (records may
-/// follow), `truncated` (the file ends before the header frame completes
-/// — a crash between file creation and the header fsync; provably
-/// record-free, safe to recreate), or `corrupt` (bytes present but wrong:
-/// bad magic/version/CRC — never silently discarded).
-enum class journal_header_status { ok, truncated, corrupt };
+/// Classifies a journal file's header without throwing, through the same
+/// frame reader as read_journal_header_file: `ok` (records may follow),
+/// `truncated` (the file ends before the header frame completes — a crash
+/// between file creation and the header fsync; provably record-free, safe
+/// to recreate), or `corrupt` (bytes present but wrong: bad magic,
+/// version, length, CRC or fields — never silently discarded).
+using journal_header_status = ms::frame_status;
 journal_header_status probe_journal_header(const std::string& path);
 
 // --- directory layout --------------------------------------------------------

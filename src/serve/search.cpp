@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <numeric>
-#include <sstream>
+#include <span>
 
 #include "hdc/cpu_kernels.hpp"
 #include "hdc/encoder.hpp"
@@ -14,29 +13,52 @@
 #include "preprocess/bucket.hpp"
 #include "preprocess/pipeline.hpp"
 #include "util/error.hpp"
+#include "util/io.hpp"
+
+/// The .sphlib payload: the identity block, u64 entry count, u64 bucket
+/// count, then per bucket (ascending key) i64 key, u32 count, `count`
+/// entries {name, f64 precursor m/z, i32 charge} in gid order, and the
+/// bucket's `count` packed rows of dim/64 words.
+template <>
+struct spechd::ms::wire<spechd::serve::spectral_library> {
+  template <typename V, typename L>
+  static bool fields(V& v, L& lib) {
+    auto entry_count = static_cast<std::uint64_t>(lib.entries_.size());
+    auto bucket_count = static_cast<std::uint64_t>(lib.buckets_.size());
+    if (!v(lib.identity_, entry_count, bucket_count) ||
+        !v.valid(lib.identity_.dim != 0 && lib.identity_.dim % 64 == 0,
+                 "library dimension is not a positive multiple of 64")) {
+      return false;
+    }
+    const std::size_t words = lib.identity_.dim / 64;
+    return v(given(bucket_count, lib.buckets_, [&](auto& v, auto& block) {
+             if (!v(block.key, block.count)) return false;
+             if constexpr (std::remove_reference_t<decltype(v)>::reads) {
+               // Every entry takes at least its name length, m/z and charge.
+               constexpr std::size_t entry_bytes = 4 + 8 + 4;
+               block.base = static_cast<std::uint32_t>(lib.entries_.size());
+               if (!v.fits(block.count, entry_bytes)) return false;
+               lib.entries_.resize(lib.entries_.size() + block.count,
+                                   serve::library_entry{.bucket_key = block.key});
+             }
+             for (auto& e : std::span(lib.entries_).subspan(block.base, block.count)) {
+               if (!v(e.name, e.precursor_mz, e.precursor_charge)) return false;
+             }
+             auto rows = std::size_t{block.count} * words;
+             return v(given(rows, block.packed));
+           })) &&
+           v.valid(lib.entries_.size() == entry_count,
+                   "library entry count does not match its bucket contents");
+  }
+};
 
 namespace spechd::serve {
 
 namespace {
 
-constexpr char k_magic[4] = {'S', 'P', 'L', 'B'};
-constexpr std::uint32_t k_version = 1;
-/// Entry names come from spectrum titles / peptide sequences; anything past
-/// this is a corrupted length field, not a name.
-constexpr std::uint32_t k_max_name_bytes = 1u << 20;
-
-template <typename T>
-void put(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T get(std::istream& in, const std::string& source) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw parse_error(source, 0, "truncated spectral library");
-  return v;
-}
+constexpr ms::file_format k_format{
+    {'S', 'P', 'L', 'B'}, 1, "spectral library", ".sphlib", /*short_length=*/false,
+    1ULL << 40};
 
 }  // namespace
 
@@ -225,90 +247,25 @@ search_result spectral_library::search(const hdc::hypervector& query, double pre
 }
 
 void spectral_library::save(const std::string& path) const {
-  std::ostringstream payload(std::ios::binary);
-  write_snapshot_identity(payload, identity_);
-  put(payload, static_cast<std::uint64_t>(entries_.size()));
-  put(payload, static_cast<std::uint64_t>(buckets_.size()));
-  for (const auto& block : buckets_) {
-    put(payload, block.key);
-    put(payload, block.count);
-    for (std::uint32_t i = 0; i < block.count; ++i) {
-      const auto& e = entries_[block.base + i];
-      put(payload, static_cast<std::uint32_t>(e.name.size()));
-      payload.write(e.name.data(), static_cast<std::streamsize>(e.name.size()));
-      put(payload, e.precursor_mz);
-      put(payload, e.precursor_charge);
-    }
-    payload.write(reinterpret_cast<const char*>(block.packed.data()),
-                  static_cast<std::streamsize>(block.packed.size() *
-                                               sizeof(std::uint64_t)));
-  }
+  std::string bytes;
+  ms::append_file_frame(bytes, k_format, [this](auto& v) { return v(*this); });
   std::ofstream out(path, std::ios::binary);
   if (!out) throw io_error("cannot open library file for writing: " + path);
-  write_framed_payload(out, k_magic, k_version, payload.str());
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!out) throw io_error("library write failure: " + path);
 }
 
 spectral_library spectral_library::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw io_error("cannot open library file: " + path);
-  const std::string payload =
-      read_framed_payload(in, k_magic, k_version, "a .sphlib spectral library", path);
-  std::istringstream body(payload, std::ios::binary);
-
+  const auto bytes = util::read_file(path);
+  if (!bytes) throw io_error("cannot open library file: " + path);
   spectral_library lib;
-  lib.identity_ = read_snapshot_identity(body, path);
-  if (lib.identity_.dim == 0 || lib.identity_.dim % 64 != 0) {
-    throw parse_error(path, 0, "library dimension is not a positive multiple of 64");
-  }
-  lib.words_ = (lib.identity_.dim + 63) / 64;
-  const auto entry_count = get<std::uint64_t>(body, path);
-  const auto bucket_count = get<std::uint64_t>(body, path);
-  if (bucket_count > entry_count) {
-    throw parse_error(path, 0, "library has more buckets than entries");
-  }
-  lib.entries_.reserve(entry_count);
-  lib.buckets_.reserve(bucket_count);
-  for (std::uint64_t b = 0; b < bucket_count; ++b) {
-    bucket_block block;
-    block.key = get<std::int64_t>(body, path);
-    if (!lib.buckets_.empty() && block.key <= lib.buckets_.back().key) {
+  ms::read_framed_file(*bytes, k_format, path, [&lib](auto& v) { return v(lib); });
+  lib.words_ = lib.identity_.dim / 64;
+  for (std::size_t b = 0; b < lib.buckets_.size(); ++b) {
+    if (lib.buckets_[b].count == 0) throw parse_error(path, 0, "library holds an empty bucket");
+    if (b > 0 && lib.buckets_[b].key <= lib.buckets_[b - 1].key) {
       throw parse_error(path, 0, "library bucket keys are not strictly ascending");
     }
-    block.base = static_cast<std::uint32_t>(lib.entries_.size());
-    block.count = get<std::uint32_t>(body, path);
-    if (block.count == 0) {
-      throw parse_error(path, 0, "library holds an empty bucket");
-    }
-    if (lib.entries_.size() + block.count > entry_count) {
-      throw parse_error(path, 0, "library bucket sizes exceed the stored entry count");
-    }
-    for (std::uint32_t i = 0; i < block.count; ++i) {
-      library_entry e;
-      const auto name_bytes = get<std::uint32_t>(body, path);
-      if (name_bytes > k_max_name_bytes) {
-        throw parse_error(path, 0, "implausible library entry name length");
-      }
-      e.name.resize(name_bytes);
-      body.read(e.name.data(), static_cast<std::streamsize>(name_bytes));
-      if (!body) throw parse_error(path, 0, "truncated spectral library");
-      e.precursor_mz = get<double>(body, path);
-      e.precursor_charge = get<std::int32_t>(body, path);
-      e.bucket_key = block.key;
-      lib.entries_.push_back(std::move(e));
-    }
-    block.packed.resize(static_cast<std::size_t>(block.count) * lib.words_);
-    body.read(reinterpret_cast<char*>(block.packed.data()),
-              static_cast<std::streamsize>(block.packed.size() * sizeof(std::uint64_t)));
-    if (!body) throw parse_error(path, 0, "truncated spectral library");
-    lib.buckets_.push_back(std::move(block));
-  }
-  if (lib.entries_.size() != entry_count) {
-    throw parse_error(path, 0, "library entry count does not match its bucket contents");
-  }
-  // The CRC already vouched for integrity; trailing bytes mean writer and
-  // reader disagree about the format — refuse, as the state snapshot does.
-  if (body.peek() != std::char_traits<char>::eof()) {
-    throw parse_error(path, 0, "library payload has trailing bytes");
   }
   return lib;
 }

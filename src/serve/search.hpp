@@ -23,11 +23,13 @@
 // variant, and in-process vs networked transport (the golden tests pin all
 // of these).
 //
-// On disk the library is a `.sphsnap`-variant ("SPLB" magic) written and
-// validated through the exact framing reader the state snapshot uses —
-// magic/version/length/CRC checked before any payload field is trusted —
-// plus the snapshot identity block, so a library built under a different
-// encoder/bucketing config is rejected at load with a clear diagnostic.
+// On disk the library is a `.sphlib`: one file frame ("SPLB" magic) of the
+// field-list codec (ms/spectrum_wire.hpp), written and validated by the
+// same frame reader as the state snapshot — magic/version/length/CRC
+// checked before any payload field is trusted — around the snapshot
+// identity block, so a library built under a different encoder/bucketing
+// config is rejected at load with a clear diagnostic. Every count in the
+// payload is bounded by the bytes left before anything is allocated.
 #pragma once
 
 #include <cstdint>
@@ -129,15 +131,17 @@ public:
   const snapshot_identity& identity() const noexcept { return identity_; }
   const library_entry& entry(std::size_t gid) const { return entries_.at(gid); }
 
-  /// Writes / reads the `.sphlib` snapshot ("SPLB" magic, version 1,
-  /// CRC-framed exactly like a `.sphsnap`). load() re-derives every
-  /// internal invariant (ascending keys, entry/bucket consistency) and
-  /// throws parse_error on any violation — a corrupted or truncated file
+  /// Writes / reads the `.sphlib` file ("SPLB" magic, version 1, framed
+  /// exactly like a `.sphsnap`). load() re-derives every internal
+  /// invariant (ascending keys, entry/bucket consistency) and throws
+  /// parse_error on any violation — a corrupted, truncated or lying file
   /// can never produce a silently-wrong library.
   void save(const std::string& path) const;
   static spectral_library load(const std::string& path);
 
 private:
+  friend struct ms::wire<spectral_library>;
+
   /// One bucket's packed candidate block: entries [base, base + count) of
   /// the gid order, HVs packed contiguously for hamming_tile_packed.
   struct bucket_block {

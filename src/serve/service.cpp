@@ -475,7 +475,9 @@ void clustering_service::restore_file(const std::string& path) {
     // (records in arrival order + labels) onto the shard this service's
     // router picks for its key. Record indices are renumbered per target
     // shard; per-bucket member order — the only order assignment depends
-    // on — is unchanged.
+    // on — is unchanged. read_snapshot_file checked that each stored
+    // shard's buckets partition its records, so every index followed
+    // here is in range and used once.
     const auto dim = config_.pipeline.encoder.dim;
     const auto seed = config_.pipeline.encoder.seed;
     for (auto& state : per_shard) state.store = hdc::hv_store(dim, seed);

@@ -3,7 +3,9 @@
 // A service restart must resume into *exactly* the state it left — same
 // records, same per-bucket assignments — so resumed ingestion is
 // bit-identical to a run that never stopped (tests/serve/test_snapshot.cpp
-// pins this). The file is:
+// pins this). The file is one frame of the field-list codec
+// (ms/spectrum_wire.hpp), which states every layout below once for its
+// writer and its reader:
 //
 //   magic   "SPSN"                      4 B
 //   version u32                        (currently 1)
@@ -17,12 +19,18 @@
 //       selector, normalisation, quantisation, linkage, fixed-point —
 //       so a restore into a differently-preprocessing service is
 //       rejected even though those knobs aren't stored field by field)
-//     per shard: hv_store (its own framed format, via hv_store::save)
-//                + bucket table { key i64, n u64, members u32[n],
-//                  labels i32[n], next_local i32, dirty u8 }
+//     per shard: hv_store (the .sphv layout, hdc/hv_store.hpp)
+//                + bucket table { count u64, then per bucket: key i64,
+//                  n u64, members u32[n], labels i32[n], next_local i32,
+//                  dirty u8 }
 //   crc u32    CRC-32 of the payload — verified before *any* payload
 //              field is trusted, so torn writes and bit rot surface as
 //              parse_error, never as silently-wrong cluster state.
+//
+// The reader bounds every count by the bytes left before it allocates,
+// and refuses a shard whose buckets do not partition its records (every
+// member index in range, each record in exactly one bucket) before any
+// restore path follows an index.
 //
 // The shard count is stored for information, not as a constraint: buckets
 // are self-contained, so a snapshot taken with N shards restores onto M
@@ -30,11 +38,11 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "core/incremental.hpp"
+#include "ms/spectrum_wire.hpp"
 
 namespace spechd::serve {
 
@@ -56,26 +64,6 @@ struct snapshot_identity {
   friend bool operator==(const snapshot_identity&, const snapshot_identity&) = default;
 };
 
-/// Serialises / parses the identity block alone (the journal's file header
-/// embeds the same block so a `.sphjrnl` can be validated against the
-/// service that would replay it).
-void write_snapshot_identity(std::ostream& out, const snapshot_identity& identity);
-snapshot_identity read_snapshot_identity(std::istream& in, const std::string& source);
-
-/// Shared .sphsnap-family framing: magic(4) + version u32 + payload_bytes
-/// u64 + payload + CRC-32(payload) u32. Every on-disk artifact of the
-/// serving tier (state snapshots, spectral-library snapshots) uses this one
-/// reader, so they all validate identically: bad magic, big-endian or
-/// unsupported versions, implausible lengths, truncation, and CRC
-/// mismatches each throw a typed parse_error *before* any payload field is
-/// trusted. `format_name` names the format in diagnostics ("a .sphsnap
-/// snapshot", "a .sphlib spectral library").
-void write_framed_payload(std::ostream& out, const char magic[4], std::uint32_t version,
-                          const std::string& payload);
-std::string read_framed_payload(std::istream& in, const char magic[4],
-                                std::uint32_t version, const std::string& format_name,
-                                const std::string& source);
-
 /// CRC-32 over every pipeline knob that affects encoding or assignment
 /// beyond the fields snapshot_identity stores explicitly: filter, peak
 /// selector (top-k/window), normalisation, quantisation window/bins,
@@ -90,21 +78,20 @@ struct snapshot_data {
   std::vector<core::clusterer_state> shards;
 };
 
-/// Serialises `shards` (one state per shard, index order) with `identity`.
+/// Writes `shards` (one state per shard, index order) with `identity`.
 /// Throws spechd::io_error on write failure.
-void write_snapshot(std::ostream& out, const snapshot_identity& identity,
-                    const std::vector<core::clusterer_state>& shards);
 void write_snapshot_file(const std::string& path, const snapshot_identity& identity,
                          const std::vector<core::clusterer_state>& shards);
 
 /// Parses and CRC-verifies a snapshot. Throws spechd::parse_error on bad
-/// magic/version/CRC/truncation, spechd::io_error on unreadable files.
-snapshot_data read_snapshot(std::istream& in, const std::string& source_name = "<snapshot>");
+/// magic/version/CRC/truncation, a count the bytes cannot hold, or a shard
+/// whose buckets do not partition its records; spechd::io_error on
+/// unreadable files.
 snapshot_data read_snapshot_file(const std::string& path);
 
-/// Reads just the identity block (still CRC-verified) — lets a caller
-/// (e.g. `spechd serve --restore`) configure itself from a snapshot
-/// before constructing the service.
+/// The identity block of a fully verified snapshot — lets a caller (e.g.
+/// `spechd serve --restore`) configure itself from a snapshot before
+/// constructing the service.
 snapshot_identity read_snapshot_identity_file(const std::string& path);
 
 /// Canonical byte serialisation of cluster state, merged across shards and
@@ -120,3 +107,19 @@ std::string canonical_state(const std::vector<core::clusterer_state>& shards,
                             bool include_scan = true);
 
 }  // namespace spechd::serve
+
+/// The identity block; the journal's file header and the .sphlib embed
+/// it too, so a `.sphjrnl` or a library is validated against the service
+/// that would use it.
+template <>
+struct spechd::ms::wire<spechd::serve::snapshot_identity> {
+  template <typename V, typename R>
+  static bool fields(V& v, R& id) {
+    constexpr auto last_mode = static_cast<std::uint32_t>(core::assign_mode::bundle_representative);
+    return v(id.dim, id.encoder_seed, id.distance_threshold, id.bucket_resolution,
+             id.fallback_charge, id.assign_mode) &&
+           v.valid(id.assign_mode <= last_mode,
+                   [&] { return "unknown assign_mode " + std::to_string(id.assign_mode); }) &&
+           v(id.shard_count, id.config_digest);
+  }
+};

@@ -3,9 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <thread>
 
 namespace spechd::util {
@@ -182,6 +185,17 @@ void remove_file(const std::string& path, failpoint& fp,
       },
       retry);
   if (err != 0) throw io_failure(io_op::remove, path, err);
+}
+
+std::optional<std::string> read_file(const std::string& path, std::size_t max_bytes) {
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);  // fails for directories
+  std::ifstream in(path, std::ios::binary);
+  if (ec || !in) return std::nullopt;
+  std::string bytes(std::min<std::uintmax_t>(size, max_bytes), '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
+  return bytes;
 }
 
 }  // namespace spechd::util

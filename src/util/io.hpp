@@ -18,6 +18,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "util/error.hpp"
@@ -94,5 +96,11 @@ void rename_file(const std::string& from, const std::string& to, failpoint& fp,
 /// unlink(2); missing files are not an error (idempotent cleanup).
 void remove_file(const std::string& path, failpoint& fp,
                  const io_retry_policy& retry = {});
+
+/// The first `max_bytes` of the regular file at `path` (all of it by
+/// default), read in one pass; nullopt when it cannot be opened or read.
+std::optional<std::string> read_file(
+    const std::string& path,
+    std::size_t max_bytes = std::numeric_limits<std::size_t>::max());
 
 }  // namespace spechd::util

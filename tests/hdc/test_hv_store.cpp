@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -78,6 +79,46 @@ TEST(HvStore, TruncatedFileRejected) {
   const std::string full = io.str();
   std::stringstream truncated(full.substr(0, full.size() - 10));
   EXPECT_THROW(hv_store::load(truncated), parse_error);
+}
+
+TEST(HvStore, SaveAfterLoadIsByteIdentical) {
+  std::stringstream first;
+  sample_store(4).save(first);
+  std::stringstream in(first.str());
+  std::stringstream second;
+  hv_store::load(in).save(second);
+  EXPECT_EQ(second.str(), first.str());
+}
+
+TEST(HvStore, LyingCountIsRefusedBeforeAllocating) {
+  // The u64 record count sits 12 bytes in (after magic, version and dim).
+  // A .sphv has no CRC, so one flipped bit is enough to make it lie.
+  const auto store = sample_store(3);
+  std::stringstream io;
+  store.save(io);
+  const std::string original = io.str();
+  std::uint64_t count = 0;
+  std::memcpy(&count, original.data() + 12, sizeof count);
+  for (const std::uint64_t lie : {1ULL << 40, count ^ (1ULL << 62)}) {
+    SCOPED_TRACE(lie);
+    std::string bytes = original;
+    std::memcpy(bytes.data() + 12, &lie, sizeof lie);
+    std::stringstream in(bytes);
+    EXPECT_THROW(hv_store::load(in), parse_error);
+  }
+}
+
+TEST(HvStore, LyingDimensionIsRefused) {
+  // A dimension the bytes cannot hold: refused before a vector that wide
+  // is allocated.
+  const auto store = sample_store(3);
+  std::stringstream io;
+  store.save(io);
+  std::string bytes = io.str();
+  const std::uint32_t dim = 0xFFFFFFC0u;  // 2^32 - 64
+  std::memcpy(bytes.data() + 8, &dim, sizeof dim);
+  std::stringstream in(bytes);
+  EXPECT_THROW(hv_store::load(in), parse_error);
 }
 
 TEST(HvStore, MissingFileThrows) {

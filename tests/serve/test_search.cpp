@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
@@ -27,6 +28,7 @@
 #include "preprocess/bucket.hpp"
 #include "preprocess/pipeline.hpp"
 #include "serve/service.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -423,6 +425,40 @@ TEST(SpectralLibrary, CorruptionModesAreRejected) {
 
   std::remove(file.path.c_str());
   EXPECT_THROW(spectral_library::load(file.path), io_error);
+}
+
+TEST(SpectralLibrary, RewriteAfterLoadIsByteIdentical) {
+  const auto built = spectral_library::from_spectra(sample_stream(8, 5), small_config());
+  temp_path first("rewrite_first");
+  temp_path second("rewrite_second");
+  built.save(first.path);
+  spectral_library::load(first.path).save(second.path);
+  const auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  EXPECT_EQ(bytes(second.path), bytes(first.path));
+}
+
+TEST(SpectralLibrary, LyingEntryCountIsRefusedBeforeAllocating) {
+  // A CRC-valid library whose entry count reads 2^40 must be refused as
+  // malformed, not allocated for. The count follows the 16-byte frame
+  // head and the 44-byte identity block.
+  const auto built = spectral_library::from_spectra(sample_stream(8, 5), small_config());
+  temp_path file("lying_count");
+  built.save(file.path);
+  std::string bytes;
+  {
+    std::ifstream in(file.path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const std::uint64_t count = 1ULL << 40;
+  std::memcpy(bytes.data() + 16 + 44, &count, sizeof count);
+  const std::uint32_t crc = crc32(bytes.data() + 16, bytes.size() - 20);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof crc);
+  std::ofstream(file.path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  EXPECT_THROW(spectral_library::load(file.path), parse_error);
 }
 
 TEST(SpectralLibrary, ServiceRejectsMismatchedIdentity) {

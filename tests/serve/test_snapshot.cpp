@@ -5,6 +5,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -514,6 +515,85 @@ TEST(Snapshot, RestoreOntoMoreShardsThanBuckets) {
                               << " shards to hold none of the " << buckets << " buckets";
   ingest_in_batches(restored, stream, split, stream.size());
   EXPECT_EQ(canonical_state(restored.export_states(), /*include_scan=*/false), golden);
+}
+
+/// A snapshot file's bytes with the u64 at `offset` replaced and the
+/// closing payload CRC recomputed, so only the field checks can refuse it.
+std::string with_u64(std::string bytes, std::size_t offset, std::uint64_t value) {
+  constexpr std::size_t head = 16;  // magic, version, payload length
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
+  const std::uint32_t crc = crc32(bytes.data() + head, bytes.size() - head - 4);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof crc);
+  return bytes;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(Snapshot, LyingCountsAreRefusedBeforeAllocating) {
+  // A CRC-valid snapshot whose store or bucket count reads 2^40 must be
+  // refused as malformed, not allocated for.
+  clustering_service service(make_serve_config(2));
+  service.ingest(sample_stream());
+  temp_path snap("lying_counts");
+  service.snapshot_file(snap.path);
+  const std::string original = read_bytes(snap.path);
+  const auto states = service.export_states();
+
+  // Shard 0's hv_store follows the 16-byte frame head and the 44-byte
+  // identity block; its record count sits 12 bytes in, and the shard's
+  // bucket count follows the store.
+  constexpr std::size_t store_at = 16 + 44;
+  const std::size_t counts[] = {store_at + 12, store_at + states[0].store.file_bytes()};
+  for (const auto offset : counts) {
+    SCOPED_TRACE(offset);
+    write_bytes(snap.path, with_u64(original, offset, 1ULL << 40));
+    EXPECT_THROW(read_snapshot_file(snap.path), parse_error);
+    clustering_service victim(make_serve_config(2));
+    EXPECT_THROW(victim.restore_file(snap.path), parse_error);
+  }
+}
+
+TEST(Snapshot, RestoreOntoOtherShardCountChecksThePartition) {
+  // The re-partition path copies records by member index. A stored state
+  // whose members do not partition its records must be refused before
+  // any index is followed, leaving the service as it was.
+  clustering_service source(make_serve_config(1));
+  source.ingest(sample_stream());
+  const auto state = source.export_states().front();
+  auto multi = std::find_if(state.buckets.begin(), state.buckets.end(),
+                            [](const core::bucket_snapshot& b) { return b.members.size() > 1; });
+  ASSERT_NE(multi, state.buckets.end());
+  const auto bucket = static_cast<std::size_t>(multi - state.buckets.begin());
+
+  auto out_of_range = state;
+  out_of_range.buckets[bucket].members[0] = 9999;
+  auto duplicated = state;  // one record twice, another in no bucket
+  duplicated.buckets[bucket].members[1] = duplicated.buckets[bucket].members[0];
+
+  ms::synthetic_config other;
+  other.peptide_count = 6;
+  other.seed = 91;
+  clustering_service victim(make_serve_config(3));
+  victim.ingest(ms::generate_dataset(other).spectra);
+  const auto before = canonical_state(victim.export_states());
+  for (const auto& [broken, what] : {std::pair{out_of_range, "index out of range"},
+                                     std::pair{duplicated, "duplicate index"}}) {
+    SCOPED_TRACE(what);
+    temp_path snap("partition");
+    write_snapshot_file(snap.path, source.identity(), {broken});
+    EXPECT_THROW(victim.restore_file(snap.path), parse_error);
+    EXPECT_EQ(canonical_state(victim.export_states()), before);
+  }
 }
 
 }  // namespace
