@@ -14,12 +14,12 @@ namespace {
 
 hv_store parse_store(const std::string& bytes, const std::string& source) {
   hv_store store;
-  ms::wire_reader reader{{bytes.data(), bytes.size()}};
+  std::string why;
+  ms::wire_reader reader{{bytes.data(), bytes.size()}, &why};
   if (!reader(store)) {
     throw parse_error(source, 0,
-                      reader.error.empty()
-                          ? "truncated hv_store (its count or dimension runs past its bytes)"
-                          : reader.error);
+                      why.empty() ? "truncated hv_store (its count or dimension runs past its bytes)"
+                                  : why);
   }
   if (!reader.done()) throw parse_error(source, 0, "trailing bytes after the hv_store");
   return store;

@@ -67,7 +67,6 @@
 //   i32 label, u64 peak_count, then per peak: f64 mz, f32 intensity
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -109,8 +108,9 @@ struct byte_cursor {
 // --- field-list codec --------------------------------------------------------
 
 /// Specialise with `template <typename V, typename R> static bool
-/// fields(V& v, R& r)` returning `v(field, ...)`; R is `const T` when
-/// writing and `T` when sizing a default element or reading.
+/// fields(V& v, R& r)` returning `v(field, ...)`. R is `const T` when
+/// writing (and sizing what is written) and `T` when reading (and sizing
+/// the default element a read count is capped by).
 template <typename T>
 struct wire;
 
@@ -262,8 +262,9 @@ using wire_writer = basic_writer<true>;
 struct wire_reader {
   static constexpr bool reads = true;
   byte_cursor in;
-  /// What the failed `valid` check reported; empty when bytes ran short.
-  std::string error;
+  /// Where a failed `valid` check writes its message, when set (the file
+  /// loaders set it; the wire and journal hot paths need only the bool).
+  std::string* error = nullptr;
 
   template <typename... F>
   bool operator()(F&&... fields) {
@@ -273,11 +274,11 @@ struct wire_reader {
   /// `why` is the message, or a callable building it on failure.
   template <typename Why>
   bool valid(bool ok, const Why& why) {
-    if (!ok) {
+    if (!ok && error != nullptr) {
       if constexpr (std::is_invocable_v<const Why&>) {
-        error = why();
+        *error = why();
       } else {
-        error = why;
+        *error = why;
       }
     }
     return ok;
@@ -308,9 +309,11 @@ struct wire_reader {
     // Cap the count before allocating: every element takes at least the
     // bytes of a default one.
     wire_sizer smallest;
-    E prototype{};
-    f.each(smallest, prototype);
-    if (!fits(f.count, std::max<std::size_t>(smallest.bytes, 1))) return false;
+    {
+      E prototype{};
+      f.each(smallest, prototype);
+    }
+    if (!fits(f.count, smallest.bytes)) return false;
     f.list.resize(static_cast<std::size_t>(f.count));
     if constexpr (is_block_list<F>) {
       return in.read_bytes(f.list.data(), f.list.size() * sizeof(E));
@@ -434,11 +437,12 @@ frame_result read_file_frame(byte_cursor& in, const file_format& format, const B
   if (stored_crc != crc32(payload, payload_bytes)) {
     return corrupt(kind + " CRC mismatch (corrupted file)");
   }
-  wire_reader reader{{payload, payload_bytes}};
+  std::string why;
+  wire_reader reader{{payload, payload_bytes}, &why};
   if (!body(reader)) {
-    return corrupt(reader.error.empty() ? kind + " payload is malformed (a count or "
-                                                 "length runs past its bytes)"
-                                        : reader.error);
+    return corrupt(why.empty() ? kind + " payload is malformed (a count or length runs "
+                                        "past its bytes)"
+                               : why);
   }
   if (!reader.done()) return corrupt(kind + " payload has trailing bytes");
   in.pos += payload_bytes + sizeof(stored_crc);
