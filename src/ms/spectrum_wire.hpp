@@ -17,9 +17,9 @@
 // visitors run that list:
 //
 //   - wire_sizer adds up the exact bytes;
-//   - wire_writer writes through a raw-pointer cursor into a buffer sized
-//     by the sizer (the ingest hot path writes one journal record per
-//     applied batch, two fields per peak);
+//   - wire_writer, the same template with writes switched on, copies them
+//     into a buffer sized by the sizer (the ingest hot path writes one
+//     journal record per applied batch, two fields per peak);
 //   - wire_reader reads through a bounds-checked cursor and *reports*
 //     failure instead of throwing: a short read is a torn journal tail, a
 //     malformed frame or a corrupt file, and each caller classifies it.
@@ -40,7 +40,8 @@
 //     `given(n, list, each)` lists each element's fields through
 //     `each(v, element)` where they need context (a store's dimension);
 //   - `words(data, n)`, n u64 words in place with no count (a
-//     hypervector's words; the reader fills storage its list sized);
+//     hypervector's words; the reader fills storage the field list
+//     allocated once the count cap vouched for it);
 //   - any type with its own `wire<T>`.
 //
 // A list of arithmetic elements (a string's bytes, a bucket's member
