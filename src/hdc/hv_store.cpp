@@ -17,9 +17,8 @@ hv_store parse_store(const std::string& bytes, const std::string& source) {
   std::string why;
   ms::wire_reader reader{{bytes.data(), bytes.size()}, &why};
   if (!reader(store)) {
-    throw parse_error(source, 0,
-                      why.empty() ? "truncated hv_store (its count or dimension runs past its bytes)"
-                                  : why);
+    if (why.empty()) why = "truncated hv_store (its count or dimension runs past its bytes)";
+    throw parse_error(source, 0, why);
   }
   if (!reader.done()) throw parse_error(source, 0, "trailing bytes after the hv_store");
   return store;

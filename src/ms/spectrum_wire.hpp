@@ -405,7 +405,9 @@ struct frame_result {
 template <typename Body>
 frame_result read_file_frame(byte_cursor& in, const file_format& format, const Body& body) {
   const std::string kind = format.kind;
-  const auto truncated = [&] { return frame_result{frame_status::truncated, "truncated " + kind}; };
+  const auto truncated = [&] {
+    return frame_result{frame_status::truncated, "truncated " + kind};
+  };
   const auto corrupt = [](std::string why) {
     return frame_result{frame_status::corrupt, std::move(why)};
   };

@@ -38,8 +38,9 @@ struct spechd::ms::wire<spechd::serve::spectral_library> {
                constexpr std::size_t entry_bytes = 4 + 8 + 4;
                block.base = static_cast<std::uint32_t>(lib.entries_.size());
                if (!v.fits(block.count, entry_bytes)) return false;
-               lib.entries_.resize(lib.entries_.size() + block.count,
-                                   serve::library_entry{.bucket_key = block.key});
+               serve::library_entry blank;
+               blank.bucket_key = block.key;
+               lib.entries_.resize(lib.entries_.size() + block.count, blank);
              }
              for (auto& e : std::span(lib.entries_).subspan(block.base, block.count)) {
                if (!v(e.name, e.precursor_mz, e.precursor_charge)) return false;

@@ -115,7 +115,8 @@ template <>
 struct spechd::ms::wire<spechd::serve::snapshot_identity> {
   template <typename V, typename R>
   static bool fields(V& v, R& id) {
-    constexpr auto last_mode = static_cast<std::uint32_t>(core::assign_mode::bundle_representative);
+    constexpr auto last_mode =
+        static_cast<std::uint32_t>(core::assign_mode::bundle_representative);
     return v(id.dim, id.encoder_seed, id.distance_threshold, id.bucket_resolution,
              id.fallback_charge, id.assign_mode) &&
            v.valid(id.assign_mode <= last_mode,
