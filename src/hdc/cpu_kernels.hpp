@@ -11,9 +11,10 @@
 //     operands: each side is one contiguous row-major blob of
 //     hypervectors, the one layout every caller holds (pairwise_hamming_*
 //     copies a bucket into an arena blob and sweeps 64×64 tiles of the
-//     condensed matrix; the incremental clusterer, the shard query views
-//     and the spectral library keep their member HVs in it and run one
-//     row against a whole bucket). The SIMD variants block rows so each
+//     condensed matrix; the incremental clusterer and the shard query
+//     views keep their member HVs in it and run one row against a whole
+//     bucket, the spectral library one row against a whole search
+//     window). The SIMD variants block rows so each
 //     column load is reused, and reduce the per-pair popcounts through a
 //     carry-save (bit-sliced) accumulator — XOR words are compressed with
 //     full-adder logic (VPTERNLOG on AVX-512) before the expensive
@@ -95,7 +96,7 @@ void hamming_tile_packed(const std::uint64_t* rows, std::size_t n_rows,
                          std::size_t words, std::uint32_t* counts) noexcept;
 
 // ---------------------------------------------------------------------------
-// top-k selection (OMS retrieval over per-bucket Hamming count rows)
+// top-k selection (OMS retrieval over a search window's Hamming count row)
 // ---------------------------------------------------------------------------
 
 /// One k-select hit: a Hamming count and the candidate index that produced

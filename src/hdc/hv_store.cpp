@@ -1,11 +1,11 @@
 #include "hdc/hv_store.hpp"
 
-#include <fstream>
 #include <istream>
 #include <iterator>
 #include <ostream>
 
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
 #include "util/io.hpp"
 
 namespace spechd::hdc {
@@ -49,9 +49,12 @@ void hv_store::save(std::ostream& out) const {
 }
 
 void hv_store::save_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw io_error("cannot create hv_store file: " + path);
-  save(out);
+  static util::failpoint fp_open("hv_store.open");
+  static util::failpoint fp_write("hv_store.write");
+  static util::failpoint fp_fsync("hv_store.fsync");
+  static util::failpoint fp_rename("hv_store.rename");
+  util::replace_file(path, ms::encode_fields([this](auto& v) { return v(*this); }),
+                     {fp_open, fp_write, fp_fsync, fp_rename});
 }
 
 hv_store hv_store::load(std::istream& in, const std::string& source_name) {

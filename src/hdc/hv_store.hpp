@@ -22,8 +22,10 @@
 //   records: count x { precursor_mz f64, charge i32, scan u32, label i32,
 //                      pad u32, words dim/64 x u64 }
 // A `.sphv` carries no CRC, so the reader trusts nothing it cannot bound:
-// the record count, and with it the dimension, must fit the bytes left
-// before any record is allocated.
+// the dimension must be a multiple of 64 no larger than hdc::k_max_dim,
+// and the record count must fit the bytes left before any record is
+// allocated. save_file() replaces the file by rename (util::replace_file),
+// so a failed save keeps the previous file.
 #pragma once
 
 #include <cstdint>
@@ -97,8 +99,12 @@ struct spechd::ms::wire<spechd::hdc::hv_store> {
         !v.valid(version == 1,
                  [&] { return "unsupported hv_store version " + std::to_string(version); }) ||
         !v(as<std::uint32_t>(s.dim_)) ||
-        !v.valid(s.dim_ != 0 && s.dim_ % 64 == 0,
-                 [&] { return "invalid hv dimension " + std::to_string(s.dim_); }) ||
+        !v.valid(hdc::dim_in_range(s.dim_),
+                 [&] {
+                   return "hv_store dimension " + std::to_string(s.dim_) +
+                          " is not a positive multiple of 64 up to " +
+                          std::to_string(hdc::k_max_dim);
+                 }) ||
         !v(count, s.seed_)) {
       return false;
     }

@@ -6,6 +6,7 @@
 // and efficient population count" modules (Sec. III-C).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -14,6 +15,18 @@
 #include "util/rng.hpp"
 
 namespace spechd::hdc {
+
+/// The largest dimension a file or flag may declare: the top of the D_hv
+/// ablation sweep. An item memory is sized by the dimension, and a file
+/// that holds no vectors has no bytes to bound it by, so the readers and
+/// the --dim flags refuse a larger one before any encoder is built.
+inline constexpr std::size_t k_max_dim = 8192;
+
+/// True for a dimension a file or flag may declare: positive, a multiple
+/// of 64 and at most k_max_dim.
+constexpr bool dim_in_range(std::size_t dim) noexcept {
+  return dim != 0 && dim % 64 == 0 && dim <= k_max_dim;
+}
 
 class hypervector {
 public:

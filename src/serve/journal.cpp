@@ -3,9 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <charconv>
-#include <cstring>
 #include <filesystem>
 
 #include "ms/spectrum_wire.hpp"
@@ -104,10 +102,6 @@ std::optional<std::uint64_t> parse_numbered(const std::string& name,
   const auto [ptr, ec] = std::from_chars(first, last, value);
   if (ec != std::errc{} || ptr != last) return std::nullopt;
   return value;
-}
-
-void throw_errno(const std::string& what, const std::string& path) {
-  throw io_error(what + " '" + path + "': " + std::strerror(errno));
 }
 
 }  // namespace
@@ -223,19 +217,6 @@ journal_dir_state scan_journal_dir(const std::string& dir) {
   return state;
 }
 
-void fsync_file(const std::string& path) {
-  static util::failpoint fp("snapshot.fsync");
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) throw_errno("cannot open file for fsync", path);
-  try {
-    util::fsync_fd(fd, path, fp);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-}
-
 void remove_stale_generations(const std::string& dir, std::uint64_t keep_from) {
   const auto state = scan_journal_dir(dir);  // one shared filename parser
   std::error_code ec;
@@ -247,19 +228,6 @@ void remove_stale_generations(const std::string& dir, std::uint64_t keep_from) {
       std::filesystem::remove(journal_shard_path(dir, entry.shard, entry.generation), ec);
     }
   }
-}
-
-void fsync_dir(const std::string& dir) {
-  static util::failpoint fp("dir.fsync");
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) throw_errno("cannot open directory", dir);
-  try {
-    util::fsync_fd(fd, dir, fp);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
 }
 
 journal_writer::journal_writer(const journal_head& head,

@@ -185,13 +185,6 @@ struct journal_dir_state {
 /// empty state). Ignores foreign files and `.tmp` leftovers.
 journal_dir_state scan_journal_dir(const std::string& dir);
 
-/// fsyncs a directory so a rename/create inside it is durable.
-void fsync_dir(const std::string& dir);
-
-/// fsyncs a regular file (used on the compaction snapshot before it is
-/// renamed into place).
-void fsync_file(const std::string& path);
-
 /// Deletes recognised snapshot/journal files whose generation is below
 /// `keep_from` — redundant once `base-<keep_from>.sphsnap` is durable.
 void remove_stale_generations(const std::string& dir, std::uint64_t keep_from);

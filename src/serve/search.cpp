@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
+#include <limits>
 #include <numeric>
 #include <span>
 
@@ -13,40 +13,44 @@
 #include "preprocess/bucket.hpp"
 #include "preprocess/pipeline.hpp"
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
 #include "util/io.hpp"
 
 /// The .sphlib payload: the identity block, u64 entry count, u64 bucket
 /// count, then per bucket (ascending key) i64 key, u32 count, `count`
 /// entries {name, f64 precursor m/z, i32 charge} in gid order, and the
-/// bucket's `count` packed rows of dim/64 words.
+/// bucket's `count` packed rows of dim/64 words. The reader reads each
+/// bucket's rows straight into the library's row block.
 template <>
 struct spechd::ms::wire<spechd::serve::spectral_library> {
   template <typename V, typename L>
   static bool fields(V& v, L& lib) {
     auto entry_count = static_cast<std::uint64_t>(lib.entries_.size());
     auto bucket_count = static_cast<std::uint64_t>(lib.buckets_.size());
-    if (!v(lib.identity_, entry_count, bucket_count) ||
-        !v.valid(lib.identity_.dim != 0 && lib.identity_.dim % 64 == 0,
-                 "library dimension is not a positive multiple of 64")) {
-      return false;
+    if (!v(lib.identity_, entry_count, bucket_count)) return false;
+    const std::size_t row_words = lib.identity_.dim / 64;
+    // Every entry takes at least its name length, m/z, charge and row.
+    const std::size_t entry_bytes = 4 + 8 + 4 + row_words * 8;
+    if constexpr (V::reads) {
+      if (!v.fits(entry_count, entry_bytes)) return false;
+      lib.entries_.reserve(entry_count);
+      lib.rows_.reserve(entry_count * row_words);
     }
-    const std::size_t words = lib.identity_.dim / 64;
     return v(given(bucket_count, lib.buckets_, [&](auto& v, auto& block) {
              if (!v(block.key, block.count)) return false;
              if constexpr (std::remove_reference_t<decltype(v)>::reads) {
-               // Every entry takes at least its name length, m/z and charge.
-               constexpr std::size_t entry_bytes = 4 + 8 + 4;
                block.base = static_cast<std::uint32_t>(lib.entries_.size());
                if (!v.fits(block.count, entry_bytes)) return false;
                serve::library_entry blank;
                blank.bucket_key = block.key;
                lib.entries_.resize(lib.entries_.size() + block.count, blank);
+               lib.rows_.resize(lib.entries_.size() * row_words);
              }
              for (auto& e : std::span(lib.entries_).subspan(block.base, block.count)) {
                if (!v(e.name, e.precursor_mz, e.precursor_charge)) return false;
              }
-             auto rows = std::size_t{block.count} * words;
-             return v(given(rows, block.packed));
+             return v(words(lib.rows_.data() + std::size_t{block.base} * row_words,
+                            std::size_t{block.count} * row_words));
            })) &&
            v.valid(lib.entries_.size() == entry_count,
                    "library entry count does not match its bucket contents");
@@ -66,19 +70,23 @@ constexpr ms::file_format k_format{
 key_window shifted_key_window(double precursor_mz, int charge, double tolerance_da,
                               const preprocess::bucket_config& config) noexcept {
   const std::int64_t exact = preprocess::bucket_index(precursor_mz, charge, config);
-  if (tolerance_da <= 0.0) return {exact, exact};
+  if (!(tolerance_da > 0.0)) return {exact, exact};  // NaN too
   // Eq. 1 buckets the (neutral-ish) mass (mz − H) × charge; an open
   // modification shifts that mass, not the m/z, so the window is ±tolerance
   // on the same scale the keys live on.
   const int c = charge > 0 ? charge : config.fallback_charge;
   const double mass = (precursor_mz - ms::hydrogen_mass) * c;
-  key_window w;
-  w.lo = static_cast<std::int64_t>(std::floor((mass - tolerance_da) / config.resolution));
-  w.hi = static_cast<std::int64_t>(std::floor((mass + tolerance_da) / config.resolution));
+  // An edge past the int64 range clamps to it instead of overflowing the cast.
+  const auto key_at = [&config](double edge) {
+    constexpr double limit = 0x1p63;
+    const double key = std::floor(edge / config.resolution);
+    if (key >= limit) return std::numeric_limits<std::int64_t>::max();
+    if (key < -limit) return std::numeric_limits<std::int64_t>::min();
+    return static_cast<std::int64_t>(key);
+  };
   // Guard floating-point edge cases: the exact-match bucket is always in.
-  w.lo = std::min(w.lo, exact);
-  w.hi = std::max(w.hi, exact);
-  return w;
+  return {std::min(key_at(mass - tolerance_da), exact),
+          std::max(key_at(mass + tolerance_da), exact)};
 }
 
 snapshot_identity library_identity(const core::spechd_config& config) {
@@ -156,18 +164,15 @@ spectral_library spectral_library::assemble(std::vector<library_entry> entries,
                      return entries[a].bucket_key < entries[b].bucket_key;
                    });
   lib.entries_.reserve(entries.size());
+  lib.rows_.reserve(entries.size() * lib.words_);
   for (const auto src : order) {
     const auto& e = entries[src];
     if (lib.buckets_.empty() || lib.buckets_.back().key != e.bucket_key) {
-      bucket_block block;
-      block.key = e.bucket_key;
-      block.base = static_cast<std::uint32_t>(lib.entries_.size());
-      lib.buckets_.push_back(std::move(block));
+      lib.buckets_.push_back({e.bucket_key, static_cast<std::uint32_t>(lib.entries_.size()), 0});
     }
-    auto& block = lib.buckets_.back();
+    lib.buckets_.back().count += 1;
     const auto words = hvs[src].words();
-    block.packed.insert(block.packed.end(), words.begin(), words.end());
-    block.count += 1;
+    lib.rows_.insert(lib.rows_.end(), words.begin(), words.end());
     lib.entries_.push_back(entries[src]);
   }
   return lib;
@@ -188,10 +193,9 @@ search_result spectral_library::search(const hdc::hypervector& query, double pre
   bucketing.fallback_charge = identity_.fallback_charge;
   const auto window = shifted_key_window(precursor_mz, charge, tolerance_da, bucketing);
 
-  // Walk the (ascending-key) blocks inside the window: one packed Hamming
-  // row + k-select per bucket, then merge the per-bucket winners by the
-  // global (count, gid) key. Each block keeps at most top_k survivors, so
-  // the merge set is tiny regardless of bucket sizes.
+  // The window's buckets hold one gid range [lo, lo + n): one packed
+  // Hamming row over its rows, then one k-select, whose lowest-index tie
+  // break is the (count, gid) order.
   static auto& probe_ns =
       obs::registry::instance().histogram("spechd_search_bucket_probe_ns");
   static auto& kselect_ns =
@@ -199,45 +203,39 @@ search_result spectral_library::search(const hdc::hypervector& query, double pre
   static auto& merge_ns =
       obs::registry::instance().histogram("spechd_search_merge_ns");
 
-  std::vector<std::uint64_t> merged;  // (count << 32) | gid — total order
-  std::vector<std::uint32_t> counts;
-  std::vector<hdc::kernels::select_entry> selected;
-  auto it = std::lower_bound(buckets_.begin(), buckets_.end(), window.lo,
-                             [](const bucket_block& b, std::int64_t key) {
-                               return b.key < key;
-                             });
-  for (; it != buckets_.end() && it->key <= window.hi; ++it) {
-    const auto& block = *it;
-    result.buckets_probed += 1;
-    result.candidates += block.count;
-    obs::trace_span probe_span(probe_ns, obs::stage::bucket_probe);
-    counts.resize(block.count);
-    hdc::kernels::hamming_tile_packed(query.words().data(), 1, block.packed.data(),
-                                      block.count, words_, counts.data());
-    probe_span.finish();
-    obs::trace_span kselect_span(kselect_ns, obs::stage::k_select);
-    selected.resize(std::min<std::size_t>(top_k, block.count));
-    const auto written = hdc::kernels::k_select(counts.data(), block.count, top_k,
-                                                selected.data());
-    for (std::size_t i = 0; i < written; ++i) {
-      const std::uint32_t gid = block.base + selected[i].index;
-      merged.push_back((static_cast<std::uint64_t>(selected[i].count) << 32) | gid);
-    }
-  }
+  obs::trace_span probe_span(probe_ns, obs::stage::bucket_probe);
+  const auto first = std::lower_bound(
+      buckets_.begin(), buckets_.end(), window.lo,
+      [](const bucket_block& b, std::int64_t key) { return b.key < key; });
+  const auto last = std::upper_bound(
+      first, buckets_.end(), window.hi,
+      [](std::int64_t key, const bucket_block& b) { return key < b.key; });
+  const auto base_of = [this](auto it) {
+    return it == buckets_.end() ? entries_.size() : std::size_t{it->base};
+  };
+  const std::size_t lo = base_of(first);
+  const std::size_t n = base_of(last) - lo;
+  result.buckets_probed = static_cast<std::uint64_t>(last - first);
+  result.candidates = n;
+  std::vector<std::uint32_t> counts(n);
+  hdc::kernels::hamming_tile_packed(query.words().data(), 1, rows_.data() + lo * words_, n,
+                                    words_, counts.data());
+  probe_span.finish();
+
+  obs::trace_span kselect_span(kselect_ns, obs::stage::k_select);
+  std::vector<hdc::kernels::select_entry> selected(std::min(top_k, n));
+  selected.resize(hdc::kernels::k_select(counts.data(), n, top_k, selected.data()));
+  kselect_span.finish();
+
   obs::trace_span merge_span(merge_ns, obs::stage::merge);
-  const std::size_t keep = std::min(top_k, merged.size());
-  std::partial_sort(merged.begin(), merged.begin() + static_cast<std::ptrdiff_t>(keep),
-                    merged.end());
-  merged.resize(keep);
-  result.hits.reserve(keep);
-  for (const auto key : merged) {
-    const auto gid = static_cast<std::uint32_t>(key & 0xFFFFFFFFu);
-    const auto hamming = static_cast<std::uint32_t>(key >> 32);
+  result.hits.reserve(selected.size());
+  for (const auto& s : selected) {
+    const auto gid = static_cast<std::uint32_t>(lo + s.index);
     const auto& e = entries_[gid];
     search_hit hit;
     hit.id = gid;
-    hit.hamming = hamming;
-    hit.distance = static_cast<double>(hamming) / static_cast<double>(identity_.dim);
+    hit.hamming = s.count;
+    hit.distance = static_cast<double>(s.count) / static_cast<double>(identity_.dim);
     hit.bucket_key = e.bucket_key;
     hit.precursor_mz = e.precursor_mz;
     hit.precursor_charge = e.precursor_charge;
@@ -250,10 +248,11 @@ search_result spectral_library::search(const hdc::hypervector& query, double pre
 void spectral_library::save(const std::string& path) const {
   std::string bytes;
   ms::append_file_frame(bytes, k_format, [this](auto& v) { return v(*this); });
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw io_error("cannot open library file for writing: " + path);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw io_error("library write failure: " + path);
+  static util::failpoint fp_open("library.open");
+  static util::failpoint fp_write("library.write");
+  static util::failpoint fp_fsync("library.fsync");
+  static util::failpoint fp_rename("library.rename");
+  util::replace_file(path, bytes, {fp_open, fp_write, fp_fsync, fp_rename});
 }
 
 spectral_library spectral_library::load(const std::string& path) {

@@ -12,16 +12,15 @@
 //
 //   query ──encode──▶ HV ──┐
 //                          ▼
-//   buckets[key ∈ window] ──hamming_tile_packed──▶ counts ──k_select──▶
-//     per-bucket top-k ──merge by (count, gid)──▶ global top-k hits
+//   rows[gid ∈ window] ──hamming_tile_packed──▶ counts ──k_select──▶ top-k hits
 //
 // Determinism: library ids (gids) are assigned in (bucket key ascending,
-// build arrival order), every per-bucket k-select breaks count ties toward
-// the lowest index, and the cross-bucket merge orders by the packed
-// (count, gid) key — so the result is the *globally least* k candidates
-// under a total order, independent of probe order, shard count, SIMD
-// variant, and in-process vs networked transport (the golden tests pin all
-// of these).
+// build arrival order), so the buckets of a key window hold one contiguous
+// gid range [lo, lo + n) of the library's row block. One Hamming row over
+// that range and one k-select over its counts, which breaks count ties
+// toward the lowest index, give the *globally least* k candidates under
+// the (count, gid) order — independent of shard count, SIMD variant, and
+// in-process vs networked transport (the golden tests pin all of these).
 //
 // On disk the library is a `.sphlib`: one file frame ("SPLB" magic) of the
 // field-list codec (ms/spectrum_wire.hpp), written and validated by the
@@ -29,7 +28,9 @@
 // checked before any payload field is trusted — around the snapshot
 // identity block, so a library built under a different encoder/bucketing
 // config is rejected at load with a clear diagnostic. Every count in the
-// payload is bounded by the bytes left before anything is allocated.
+// payload is bounded by the bytes left before anything is allocated, and
+// the reader fills the row block in place. save() replaces the file by
+// rename (util::replace_file), so a failed save keeps the previous file.
 #pragma once
 
 #include <cstdint>
@@ -87,9 +88,11 @@ struct key_window {
 /// shifting the query's bucketing mass (precursor_mz − hydrogen) × charge
 /// by at most ±tolerance_da. Guarantees: the exact-match bucket
 /// bucket_index(precursor_mz, charge) is always inside the window, the
-/// window is symmetric around the query mass, and tolerance_da <= 0
-/// degenerates to exactly that one key (so zero-tolerance search is
-/// bit-identical to an exact-bucket query — the property tests pin this).
+/// window is symmetric around the query mass, and a tolerance_da that is
+/// not positive (NaN included) degenerates to exactly that one key (so
+/// zero-tolerance search is bit-identical to an exact-bucket query — the
+/// property tests pin this). An edge past the int64 key range (a huge or
+/// infinite tolerance) clamps to it, so such a window spans every key.
 key_window shifted_key_window(double precursor_mz, int charge, double tolerance_da,
                               const preprocess::bucket_config& config) noexcept;
 
@@ -142,13 +145,13 @@ public:
 private:
   friend struct ms::wire<spectral_library>;
 
-  /// One bucket's packed candidate block: entries [base, base + count) of
-  /// the gid order, HVs packed contiguously for hamming_tile_packed.
+  /// One bucket: entries [base, base + count) of the gid order, whose rows
+  /// sit at rows_[base * words_] onward. A window lookup binary-searches
+  /// the keys and reads its gid range off the bases.
   struct bucket_block {
     std::int64_t key = 0;
     std::uint32_t base = 0;
     std::uint32_t count = 0;
-    std::vector<std::uint64_t> packed;  ///< count * words_ words
   };
 
   static spectral_library assemble(std::vector<library_entry> entries,
@@ -159,6 +162,7 @@ private:
   snapshot_identity identity_;
   std::size_t words_ = 0;
   std::vector<library_entry> entries_;  ///< gid order: (bucket key asc, arrival)
+  std::vector<std::uint64_t> rows_;     ///< one packed row of words_ words per gid
   std::vector<bucket_block> buckets_;   ///< ascending key
   std::size_t dropped_ = 0;
 };

@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "preprocess/pipeline.hpp"
-#include "util/failpoint.hpp"
 #include "util/io.hpp"
 
 namespace spechd::serve {
@@ -128,7 +127,7 @@ void clustering_service::attach_journal_dir() {
     // a crash mid-compaction may have stranded.
     remove_stale_generations(dir, *recovered.report.base_snapshot_generation);
   }
-  if (created && config_.journal.fsync) fsync_dir(dir);
+  if (created && config_.journal.fsync) util::fsync_dir(dir);
   // Transaction ids must keep increasing across restarts: a reused id
   // could pair a new commit record with a dead transaction's surviving
   // data records.
@@ -191,18 +190,13 @@ void clustering_service::compact_journal_locked() {
     states[s] = shards_[s]->export_and_rotate_journal(head,
                                                       shard_journal_header(s, new_gen));
   }
-  const auto final_path = journal_snapshot_path(config_.journal.dir, new_gen);
-  const auto tmp_path = final_path + ".tmp";
-  // tmp + fsync + rename + dir-fsync, all through the checked-I/O layer:
-  // a failure at any point (ENOSPC, EIO, torn rename) leaves the previous
-  // snapshot and every rotated journal generation in place, so recovery
-  // still replays the directory exactly; the compaction itself reports
-  // the error and can be retried with a fresh generation number.
-  static util::failpoint fp_rename("snapshot.rename");
-  write_snapshot_file(tmp_path, identity(), states);
-  if (config_.journal.fsync) fsync_file(tmp_path);
-  util::rename_file(tmp_path, final_path, fp_rename);
-  if (config_.journal.fsync) fsync_dir(config_.journal.dir);
+  // Replace by rename: a failure at any step (ENOSPC, EIO, torn rename)
+  // leaves the previous snapshot and every rotated journal generation in
+  // place, so recovery still replays the directory exactly; the
+  // compaction itself reports the error and can be retried with a fresh
+  // generation number.
+  write_snapshot_file(journal_snapshot_path(config_.journal.dir, new_gen), identity(),
+                      states, config_.journal.fsync);
   generation_ = new_gen;
   remove_stale_generations(config_.journal.dir, new_gen);
   // The new base snapshot captures each shard's applied state, so a shard

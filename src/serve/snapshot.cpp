@@ -1,8 +1,5 @@
 #include "serve/snapshot.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <map>
 
 #include "util/crc32.hpp"
@@ -65,26 +62,16 @@ std::uint32_t pipeline_digest(const core::spechd_config& config) {
 }
 
 void write_snapshot_file(const std::string& path, const snapshot_identity& identity,
-                         const std::vector<core::clusterer_state>& shards) {
+                         const std::vector<core::clusterer_state>& shards, bool sync) {
   SPECHD_EXPECTS(identity.shard_count == shards.size());
-  // Serialise fully in memory, then push through the checked-I/O layer so
-  // ENOSPC/EIO surface as typed io_failure (with failpoint coverage for
-  // the compaction tmp+rename+fsync sequence) instead of a silently-bad
-  // ofstream.
   static util::failpoint fp_open("snapshot.open");
   static util::failpoint fp_write("snapshot.write");
+  static util::failpoint fp_fsync("snapshot.fsync");
+  static util::failpoint fp_rename("snapshot.rename");
   std::string bytes;
   ms::append_file_frame(bytes, k_format,
                         [&](auto& v) { return snapshot_fields(v, identity, shards); });
-  const int fd = util::open_fd(path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644,
-                               fp_open);
-  try {
-    util::write_all(fd, bytes.data(), bytes.size(), path, fp_write);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
+  util::replace_file(path, bytes, {fp_open, fp_write, fp_fsync, fp_rename}, sync);
 }
 
 snapshot_data read_snapshot_file(const std::string& path) {

@@ -12,13 +12,14 @@
 //   payload_bytes u64
 //   payload:
 //     identity block — the knobs that must match for resume to be exact:
-//       dim u32, encoder seed u64, distance threshold f64,
-//       bucket resolution f64, fallback charge i32, assign mode u32,
-//       shard count u32, pipeline digest u32 (CRC-32 over *every*
-//       remaining encode/assign-relevant pipeline knob — filter, top-k
-//       selector, normalisation, quantisation, linkage, fixed-point —
-//       so a restore into a differently-preprocessing service is
-//       rejected even though those knobs aren't stored field by field)
+//       dim u32 (a multiple of 64 up to hdc::k_max_dim), encoder seed
+//       u64, distance threshold f64, bucket resolution f64, fallback
+//       charge i32, assign mode u32, shard count u32, pipeline digest
+//       u32 (CRC-32 over *every* remaining encode/assign-relevant
+//       pipeline knob — filter, top-k selector, normalisation,
+//       quantisation, linkage, fixed-point — so a restore into a
+//       differently-preprocessing service is rejected even though those
+//       knobs aren't stored field by field)
 //     per shard: hv_store (the .sphv layout, hdc/hv_store.hpp)
 //                + bucket table { count u64, then per bucket: key i64,
 //                  n u64, members u32[n], labels i32[n], next_local i32,
@@ -31,6 +32,9 @@
 // and refuses a shard whose buckets do not partition its records (every
 // member index in range, each record in exactly one bucket) before any
 // restore path follows an index.
+//
+// write_snapshot_file replaces its file by rename (util::replace_file), so
+// a failed write keeps the previous snapshot.
 //
 // The shard count is stored for information, not as a constraint: buckets
 // are self-contained, so a snapshot taken with N shards restores onto M
@@ -78,10 +82,13 @@ struct snapshot_data {
   std::vector<core::clusterer_state> shards;
 };
 
-/// Writes `shards` (one state per shard, index order) with `identity`.
-/// Throws spechd::io_error on write failure.
+/// Writes `shards` (one state per shard, index order) with `identity`,
+/// replacing `path` by rename (util::replace_file; `sync` false skips its
+/// fsyncs), so a failed write keeps the previous file. Throws
+/// spechd::io_error on write failure.
 void write_snapshot_file(const std::string& path, const snapshot_identity& identity,
-                         const std::vector<core::clusterer_state>& shards);
+                         const std::vector<core::clusterer_state>& shards,
+                         bool sync = true);
 
 /// Parses and CRC-verifies a snapshot. Throws spechd::parse_error on bad
 /// magic/version/CRC/truncation, a count the bytes cannot hold, or a shard
@@ -110,14 +117,22 @@ std::string canonical_state(const std::vector<core::clusterer_state>& shards,
 
 /// The identity block; the journal's file header and the .sphlib embed
 /// it too, so a `.sphjrnl` or a library is validated against the service
-/// that would use it.
+/// that would use it. The reader refuses a dimension outside
+/// hdc::dim_in_range before a service or encoder is sized by it.
 template <>
 struct spechd::ms::wire<spechd::serve::snapshot_identity> {
   template <typename V, typename R>
   static bool fields(V& v, R& id) {
     constexpr auto last_mode =
         static_cast<std::uint32_t>(core::assign_mode::bundle_representative);
-    return v(id.dim, id.encoder_seed, id.distance_threshold, id.bucket_resolution,
+    return v(id.dim) &&
+           v.valid(hdc::dim_in_range(id.dim),
+                   [&] {
+                     return "dimension " + std::to_string(id.dim) +
+                            " is not a positive multiple of 64 up to " +
+                            std::to_string(hdc::k_max_dim);
+                   }) &&
+           v(id.encoder_seed, id.distance_threshold, id.bucket_resolution,
              id.fallback_charge, id.assign_mode) &&
            v.valid(id.assign_mode <= last_mode,
                    [&] { return "unknown assign_mode " + std::to_string(id.assign_mode); }) &&

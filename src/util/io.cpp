@@ -187,6 +187,52 @@ void remove_file(const std::string& path, failpoint& fp,
   if (err != 0) throw io_failure(io_op::remove, path, err);
 }
 
+void fsync_dir(const std::string& dir) {
+  static failpoint fp("dir.fsync");
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) throw io_failure(io_op::open, dir, errno);
+  try {
+    fsync_fd(fd, dir, fp);
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
+  ::close(fd);
+}
+
+void replace_file(const std::string& path, std::string_view bytes,
+                  const replace_sites& sites, bool sync) {
+  // A rename over a device or FIFO would replace the node itself.
+  std::error_code ec;
+  const auto type = std::filesystem::symlink_status(path, ec).type();
+  if (type != std::filesystem::file_type::not_found &&
+      type != std::filesystem::file_type::regular &&
+      type != std::filesystem::file_type::symlink) {
+    throw io_error("cannot replace '" + path + "': not a regular file");
+  }
+  const std::string tmp = path + ".tmp";
+  const int fd = open_fd(tmp, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644, sites.open);
+  try {
+    write_all(fd, bytes.data(), bytes.size(), tmp, sites.write);
+    if (sync) fsync_fd(fd, tmp, sites.fsync);
+  } catch (...) {
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    throw;
+  }
+  ::close(fd);
+  try {
+    rename_file(tmp, path, sites.rename);
+  } catch (...) {
+    ::unlink(tmp.c_str());
+    throw;
+  }
+  if (sync) {
+    const auto dir = std::filesystem::path(path).parent_path();
+    fsync_dir(dir.empty() ? "." : dir.string());
+  }
+}
+
 std::optional<std::string> read_file(const std::string& path, std::size_t max_bytes) {
   std::error_code ec;
   const auto size = std::filesystem::file_size(path, ec);  // fails for directories

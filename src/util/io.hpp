@@ -21,6 +21,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
@@ -96,6 +97,27 @@ void rename_file(const std::string& from, const std::string& to, failpoint& fp,
 /// unlink(2); missing files are not an error (idempotent cleanup).
 void remove_file(const std::string& path, failpoint& fp,
                  const io_retry_policy& retry = {});
+
+/// fsyncs the directory `dir`, so a rename or create inside it is durable
+/// (failpoint `dir.fsync`).
+void fsync_dir(const std::string& dir);
+
+/// The failpoints of one replace_file caller, one per step.
+struct replace_sites {
+  failpoint& open;
+  failpoint& write;
+  failpoint& fsync;
+  failpoint& rename;
+};
+
+/// Replaces the file at `path` with `bytes`: writes `path`.tmp, fsyncs it,
+/// renames it over `path` and fsyncs the directory (`sync` false skips
+/// both fsyncs). A failure before the rename removes the temporary file
+/// and leaves `path` as it was; at no point does `path` hold a partial
+/// file. Throws io_failure, or io_error when `path` names something other
+/// than a regular file or a symlink (a device, a FIFO, a directory).
+void replace_file(const std::string& path, std::string_view bytes,
+                  const replace_sites& sites, bool sync = true);
 
 /// The first `max_bytes` of the regular file at `path` (all of it by
 /// default), read in one pass; nullopt when it cannot be opened or read.

@@ -2,10 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
+#include "util/io.hpp"
 #include "util/rng.hpp"
 
 namespace spechd::hdc {
@@ -119,6 +128,58 @@ TEST(HvStore, LyingDimensionIsRefused) {
   std::memcpy(bytes.data() + 8, &dim, sizeof dim);
   std::stringstream in(bytes);
   EXPECT_THROW(hv_store::load(in), parse_error);
+}
+
+TEST(HvStore, EmptyStoreWithOversizedDimensionIsRefused) {
+  // A store without records has no bytes to bound its dimension by, and
+  // clustering it sizes an item memory by that dimension: a dimension
+  // above k_max_dim is refused at load.
+  std::stringstream io;
+  hv_store(512, 7).save(io);
+  std::string bytes = io.str();
+  ASSERT_EQ(bytes.size(), 28U);
+  const std::uint32_t dim = 1U << 20;
+  std::memcpy(bytes.data() + 8, &dim, sizeof dim);
+  std::stringstream in(bytes);
+  EXPECT_THROW(hv_store::load(in), parse_error);
+}
+
+TEST(HvStore, FailedSaveKeepsThePreviousFile) {
+  // save_file replaces by rename. A failure at any step before the rename
+  // leaves the previous file byte-identical and loadable, and no
+  // temporary file behind; the directory sync runs after the rename, so
+  // a failure there leaves the new file, whole.
+  struct failpoint_guard {
+    ~failpoint_guard() { util::registry().reset(); }
+  } guard;
+  const auto path = (std::filesystem::temp_directory_path() /
+                     ("spechd_test_replace_" + std::to_string(::getpid()) + ".sphv"))
+                        .string();
+  const auto read = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  sample_store(2).save_file(path);
+  const auto previous = read();
+  const auto next = sample_store(5);
+  for (const std::string site : {"hv_store.open", "hv_store.write", "hv_store.fsync",
+                                 "hv_store.rename", "dir.fsync"}) {
+    SCOPED_TRACE(site);
+    util::registry().reset();
+    util::registry().arm_from_spec(site + "=error:ENOSPC");
+    EXPECT_THROW(next.save_file(path), util::io_failure);
+    util::registry().reset();
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+    if (site == "dir.fsync") {
+      std::stringstream whole;
+      next.save(whole);
+      EXPECT_EQ(read(), whole.str());
+    } else {
+      EXPECT_EQ(read(), previous);
+      EXPECT_EQ(hv_store::load_file(path).size(), 2U);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(HvStore, MissingFileThrows) {

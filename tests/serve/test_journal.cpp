@@ -234,6 +234,7 @@ TEST(Journal, TornTailIsDetectedAndTruncatedToLastCompleteRecord) {
 
   journal_file_header header;
   header.shard_count = 1;
+  header.identity.dim = 1024;
   journal_head head;
   head.path = journal_shard_path(dir.path, 0, 0);
   journal_config config;
@@ -295,6 +296,7 @@ TEST(Journal, CrcValidRecordWithInconsistentBodyIsTorn) {
   const auto stream = sample_stream(6, 9);
   journal_file_header header;
   header.shard_count = 1;
+  header.identity.dim = 1024;
   journal_head head;
   head.path = journal_shard_path(dir.path, 0, 0);
   journal_config config;

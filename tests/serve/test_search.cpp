@@ -16,6 +16,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -30,6 +32,8 @@
 #include "serve/service.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
+#include "util/io.hpp"
 #include "util/rng.hpp"
 
 namespace spechd::serve {
@@ -59,6 +63,11 @@ struct temp_path {
               ("spechd_search_" + name + "_" + std::to_string(::getpid()))).string()) {}
   ~temp_path() { std::remove(path.c_str()); }
 };
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
 
 /// Encodes one query spectrum exactly like the library build does;
 /// nullopt when preprocessing drops it.
@@ -197,7 +206,8 @@ TEST(ShiftedKeyWindow, ZeroOrNegativeToleranceDegeneratesToExactBucket) {
     const double mz = 101.0 + static_cast<double>(rng.bounded(1800 * 100)) / 100.0;
     const int charge = static_cast<int>(rng.bounded(4));
     const auto exact = preprocess::bucket_index(mz, charge, bucketing);
-    for (const double tolerance : {0.0, -1.0, -1e9}) {
+    for (const double tolerance :
+         {0.0, -1.0, -1e9, std::numeric_limits<double>::quiet_NaN()}) {
       const auto window = shifted_key_window(mz, charge, tolerance, bucketing);
       ASSERT_EQ(window.lo, exact);
       ASSERT_EQ(window.hi, exact);
@@ -214,6 +224,11 @@ TEST(Search, MatchesBruteForceOracleAcrossTolerancesAndK) {
   const auto oracle = build_oracle(reference, config);
   ASSERT_EQ(lib.size(), oracle.entries.size());
 
+  // The loader fills the row block in place: search what it read too.
+  temp_path file("oracle");
+  lib.save(file.path);
+  const auto loaded = spectral_library::load(file.path);
+
   const auto queries = sample_stream(12, 123);  // different seed: near-misses
   std::size_t checked = 0;
   for (const auto& q : queries) {
@@ -221,12 +236,14 @@ TEST(Search, MatchesBruteForceOracleAcrossTolerancesAndK) {
     int charge = 0;
     const auto hv = encode_query(q, config, mz, charge);
     if (!hv) continue;
-    for (const double tolerance : {0.0, 0.5, 2.5, 25.0}) {
+    for (const double tolerance : {0.0, 0.5, 2.5, 25.0, 250.0}) {
       for (const std::size_t top_k : {1UL, 3UL, 17UL}) {
-        const auto got = lib.search(*hv, mz, charge, top_k, tolerance);
         const auto want = oracle_search(oracle, *hv, mz, charge, top_k, tolerance,
                                         config);
-        ASSERT_EQ(got, want) << q.title << " tol=" << tolerance << " k=" << top_k;
+        ASSERT_EQ(lib.search(*hv, mz, charge, top_k, tolerance), want)
+            << q.title << " tol=" << tolerance << " k=" << top_k;
+        ASSERT_EQ(loaded.search(*hv, mz, charge, top_k, tolerance), want)
+            << "loaded: " << q.title << " tol=" << tolerance << " k=" << top_k;
         ++checked;
       }
     }
@@ -288,13 +305,66 @@ TEST(Search, TopKZeroAndOversizedKBehave) {
   const auto hv = encode_query(any, config, mz, charge);
   ASSERT_TRUE(hv.has_value());
   EXPECT_TRUE(lib.search(*hv, mz, charge, 0, 100.0).hits.empty());
-  const auto all = lib.search(*hv, mz, charge, 1 << 20, 1e9);
-  EXPECT_EQ(all.hits.size(), lib.size());  // window spans everything
-  EXPECT_TRUE(std::is_sorted(all.hits.begin(), all.hits.end(),
-                             [](const search_hit& a, const search_hit& b) {
-                               return std::make_pair(a.hamming, a.id) <
-                                      std::make_pair(b.hamming, b.id);
-                             }));
+  // A tolerance past the int64 key range clamps to it instead of
+  // overflowing the key cast.
+  for (const double tolerance : {1e9, 1e300, std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(tolerance);
+    const auto all = lib.search(*hv, mz, charge, 1 << 20, tolerance);
+    EXPECT_EQ(all.hits.size(), lib.size());  // window spans everything
+    EXPECT_EQ(all.buckets_probed, lib.bucket_count());
+    EXPECT_TRUE(std::is_sorted(all.hits.begin(), all.hits.end(),
+                               [](const search_hit& a, const search_hit& b) {
+                                 return std::make_pair(a.hamming, a.id) <
+                                        std::make_pair(b.hamming, b.id);
+                               }));
+  }
+}
+
+TEST(Search, TiesAcrossBucketsResolveToTheLowestGids) {
+  // One peak list at six precursor masses, one bucket each (arriving in
+  // descending mass order), plus a different peak list in the last of
+  // those buckets. A window over all six with top_k 3 must return the
+  // three lowest gids of the six Hamming-0 ties, ascending: over one gid
+  // range that is k_select's lowest-index tie break.
+  const auto config = small_config();
+  ms::spectrum shared;
+  shared.precursor_charge = 2;
+  for (int i = 0; i < 40; ++i) {
+    shared.peaks.push_back({200.0 + 13.7 * i, 10.0F + static_cast<float>(i % 7)});
+  }
+  std::vector<ms::spectrum> reference;
+  for (int i = 5; i >= 0; --i) {
+    auto copy = shared;
+    copy.title = "copy" + std::to_string(i);
+    copy.precursor_mz = 900.0 + 3.0 * i;  // the bucketed mass moves 6 Da per copy
+    reference.push_back(std::move(copy));
+  }
+  ms::spectrum other = shared;
+  other.title = "other";
+  other.precursor_mz = 915.0;
+  for (auto& p : other.peaks) p.mz += 1.3;
+  reference.push_back(std::move(other));
+  const auto lib = spectral_library::from_spectra(reference, config);
+  ASSERT_EQ(lib.size(), 7U);
+  ASSERT_EQ(lib.bucket_count(), 6U);
+
+  auto query = shared;
+  query.precursor_mz = 906.0;
+  double mz = 0.0;
+  int charge = 0;
+  const auto hv = encode_query(query, config, mz, charge);
+  ASSERT_TRUE(hv.has_value());
+  const auto got = lib.search(*hv, mz, charge, 3, 20.0);
+  EXPECT_EQ(got.buckets_probed, 6U);
+  EXPECT_EQ(got.candidates, 7U);
+  ASSERT_EQ(got.hits.size(), 3U);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(got.hits[i].id, i);
+    EXPECT_EQ(got.hits[i].hamming, 0U);
+    EXPECT_EQ(got.hits[i].name, "copy" + std::to_string(i));
+  }
+  EXPECT_EQ(got, oracle_search(build_oracle(reference, config), *hv, mz, charge, 3, 20.0,
+                               config));
 }
 
 TEST(Search, FromPeptidesIsDeterministic) {
@@ -459,6 +529,38 @@ TEST(SpectralLibrary, LyingEntryCountIsRefusedBeforeAllocating) {
   std::ofstream(file.path, std::ios::binary | std::ios::trunc)
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   EXPECT_THROW(spectral_library::load(file.path), parse_error);
+}
+
+TEST(SpectralLibrary, FailedSaveKeepsThePreviousFile) {
+  // save() replaces by rename. A failure at any step before the rename
+  // leaves the previous library byte-identical and loadable, and no
+  // temporary file behind; the directory sync runs after the rename, so
+  // a failure there leaves the new library, whole.
+  struct failpoint_guard {
+    ~failpoint_guard() { util::registry().reset(); }
+  } guard;
+  const auto config = small_config();
+  const auto previous_lib = spectral_library::from_spectra(sample_stream(8, 5), config);
+  const auto next_lib = spectral_library::from_spectra(sample_stream(12, 6), config);
+  ASSERT_NE(previous_lib.size(), next_lib.size());
+  temp_path file("replace");
+  temp_path expected("replace_next");
+  previous_lib.save(file.path);
+  next_lib.save(expected.path);
+  const auto previous = read_bytes(file.path);
+  for (const std::string site : {"library.open", "library.write", "library.fsync",
+                                 "library.rename", "dir.fsync"}) {
+    SCOPED_TRACE(site);
+    util::registry().reset();
+    util::registry().arm_from_spec(site + "=error:ENOSPC");
+    EXPECT_THROW(next_lib.save(file.path), util::io_failure);
+    util::registry().reset();
+    EXPECT_FALSE(std::filesystem::exists(file.path + ".tmp"));
+    const bool renamed = site == "dir.fsync";
+    EXPECT_EQ(read_bytes(file.path), renamed ? read_bytes(expected.path) : previous);
+    EXPECT_EQ(spectral_library::load(file.path).size(),
+              renamed ? next_lib.size() : previous_lib.size());
+  }
 }
 
 TEST(SpectralLibrary, ServiceRejectsMismatchedIdentity) {

@@ -21,6 +21,8 @@
 #include "serve/snapshot.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
+#include "util/io.hpp"
 
 namespace spechd::serve {
 namespace {
@@ -517,9 +519,11 @@ TEST(Snapshot, RestoreOntoMoreShardsThanBuckets) {
   EXPECT_EQ(canonical_state(restored.export_states(), /*include_scan=*/false), golden);
 }
 
-/// A snapshot file's bytes with the u64 at `offset` replaced and the
-/// closing payload CRC recomputed, so only the field checks can refuse it.
-std::string with_u64(std::string bytes, std::size_t offset, std::uint64_t value) {
+/// A snapshot file's bytes with the field at `offset` replaced by `value`
+/// and the closing payload CRC recomputed, so only the field checks can
+/// refuse it.
+template <typename T>
+std::string with_field(std::string bytes, std::size_t offset, T value) {
   constexpr std::size_t head = 16;  // magic, version, payload length
   std::memcpy(bytes.data() + offset, &value, sizeof value);
   const std::uint32_t crc = crc32(bytes.data() + head, bytes.size() - head - 4);
@@ -556,10 +560,68 @@ TEST(Snapshot, LyingCountsAreRefusedBeforeAllocating) {
   const std::size_t counts[] = {store_at + 12, store_at + states[0].store.file_bytes()};
   for (const auto offset : counts) {
     SCOPED_TRACE(offset);
-    write_bytes(snap.path, with_u64(original, offset, 1ULL << 40));
+    write_bytes(snap.path, with_field(original, offset, std::uint64_t{1} << 40));
     EXPECT_THROW(read_snapshot_file(snap.path), parse_error);
     clustering_service victim(make_serve_config(2));
     EXPECT_THROW(victim.restore_file(snap.path), parse_error);
+  }
+}
+
+TEST(Snapshot, IdentityDimensionOutsideTheBoundIsRefused) {
+  // An empty snapshot has no vectors to bound its dimension by, and a
+  // service sized by it builds an item memory of that width. The identity
+  // block refuses a dimension that is 0, not a multiple of 64, or above
+  // k_max_dim, and the service restoring it stays as it was.
+  temp_path empty("empty_identity");
+  clustering_service(make_serve_config(1)).snapshot_file(empty.path);
+  const std::string original = read_bytes(empty.path);
+  ASSERT_EQ(original.size(), 100U);
+  clustering_service victim(make_serve_config(2));
+  victim.ingest(sample_stream());
+  const auto before = canonical_state(victim.export_states());
+  temp_path snap("identity_dim");
+  for (const std::uint32_t dim : {1U << 20, 0U, 100U}) {
+    SCOPED_TRACE(dim);
+    write_bytes(snap.path, with_field(original, 16, dim));  // the identity's first field
+    EXPECT_THROW(read_snapshot_identity_file(snap.path), parse_error);
+    EXPECT_THROW(victim.restore_file(snap.path), parse_error);
+    EXPECT_EQ(canonical_state(victim.export_states()), before);
+  }
+}
+
+TEST(Snapshot, FailedWriteKeepsThePreviousFile) {
+  // A snapshot replaces its file by rename. A failure at any step before
+  // the rename leaves the previous snapshot byte-identical and
+  // restorable, and no temporary file behind; the directory sync runs
+  // after the rename, so a failure there leaves the new snapshot, whole.
+  struct failpoint_guard {
+    ~failpoint_guard() { util::registry().reset(); }
+  } guard;
+  const auto stream = sample_stream();
+  clustering_service service(make_serve_config(2));
+  ingest_in_batches(service, stream, 0, stream.size() / 2);
+  temp_path snap("replace");
+  service.snapshot_file(snap.path);
+  const std::string previous = read_bytes(snap.path);
+  const auto previous_state = canonical_state(service.export_states());
+  ingest_in_batches(service, stream, stream.size() / 2, stream.size());
+  const auto next_state = canonical_state(service.export_states());
+  for (const std::string site : {"snapshot.open", "snapshot.write", "snapshot.fsync",
+                                 "snapshot.rename", "dir.fsync"}) {
+    SCOPED_TRACE(site);
+    util::registry().reset();
+    util::registry().arm_from_spec(site + "=error:ENOSPC");
+    EXPECT_THROW(service.snapshot_file(snap.path), util::io_failure);
+    util::registry().reset();
+    EXPECT_FALSE(std::filesystem::exists(snap.path + ".tmp"));
+    const bool renamed = site == "dir.fsync";
+    if (!renamed) {
+      EXPECT_EQ(read_bytes(snap.path), previous);
+    }
+    clustering_service restored(make_serve_config(2));
+    restored.restore_file(snap.path);
+    EXPECT_EQ(canonical_state(restored.export_states()),
+              renamed ? next_state : previous_state);
   }
 }
 

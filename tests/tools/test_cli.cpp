@@ -132,6 +132,23 @@ TEST(Cli, ServeRestoreUnknownAssignModeFailsWithDiagnostic) {
   std::remove(snap.c_str());
 }
 
+TEST(Cli, DimOutsideTheBoundIsRefused) {
+  // --dim sizes the item memory: a value no file may declare is an input
+  // error, refused before any input is read or encoder built.
+  for (const std::string dim : {"0", "100", "16384"}) {
+    for (const std::string command :
+         {"encode /nonexistent/x.mgf -o /nonexistent/x.sphv",
+          "search --build /nonexistent/x.sphlib --spectra /nonexistent/x.mgf"}) {
+      SCOPED_TRACE(command + " --dim " + dim);
+      const auto r = run_cli(command + " --dim " + dim);
+      EXPECT_EQ(r.exit_code, 2) << r.output;
+      EXPECT_NE(r.output.find("--dim must be a positive multiple of 64 up to 8192"),
+                std::string::npos)
+          << r.output;
+    }
+  }
+}
+
 TEST(Cli, RecoverMissingDirFailsWithDiagnostic) {
   const auto r = run_cli("recover --journal-dir /nonexistent/journal");
   EXPECT_EQ(r.exit_code, 2);

@@ -8,10 +8,12 @@
 #include "util/failpoint.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -256,6 +258,36 @@ TEST_F(FailpointTest, WriteAllGivesUpWhenTransientErrorsExceedBudget) {
     EXPECT_EQ(e.code(), EAGAIN);
   }
   ::close(fd);
+}
+
+TEST_F(FailpointTest, ReplaceFileCreatesReplacesAndRefusesSpecialFiles) {
+  const std::string dir = ::testing::TempDir() + "spechd_replace_" + std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/file";
+  util::failpoint open("test.replace.open");
+  util::failpoint write("test.replace.write");
+  util::failpoint fsync("test.replace.fsync");
+  util::failpoint rename("test.replace.rename");
+  const util::replace_sites sites{open, write, fsync, rename};
+  const auto contents = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  };
+  util::replace_file(path, "first", sites);  // no previous file
+  EXPECT_EQ(contents(), "first");
+  util::replace_file(path, "second, longer", sites, /*sync=*/false);
+  EXPECT_EQ(contents(), "second, longer");
+  util::replace_file(path, "", sites);
+  EXPECT_EQ(contents(), "");
+  // A rename over a FIFO would replace the node: refused, node kept.
+  const std::string fifo = dir + "/fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  EXPECT_THROW(util::replace_file(fifo, "bytes", sites), spechd::io_error);
+  EXPECT_TRUE(std::filesystem::is_fifo(fifo));
+  EXPECT_FALSE(std::filesystem::exists(fifo + ".tmp"));
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(FailpointTest, OpenFdInjectedErrorThrowsTyped) {

@@ -197,6 +197,18 @@ int reject_leftovers(const arg_list& args, const std::string& command,
   return 0;
 }
 
+/// `--dim D` into `dim`; false, after a message, unless D is a dimension
+/// a file may declare (hdc::dim_in_range).
+bool take_dim(arg_list& args, const char* command, std::size_t& dim) {
+  const auto v = args.take_option("--dim");
+  if (!v) return true;
+  dim = std::stoul(*v);
+  if (hdc::dim_in_range(dim)) return true;
+  std::cerr << command << ": --dim must be a positive multiple of 64 up to "
+            << hdc::k_max_dim << "\n";
+  return false;
+}
+
 int cmd_synth(arg_list& args) {
   ms::synthetic_config config;
   if (const auto v = args.take_option("--peptides")) config.peptide_count = std::stoul(*v);
@@ -261,7 +273,7 @@ int cmd_info(arg_list& args) {
 int cmd_encode(arg_list& args) {
   const auto out = args.take_option("-o");
   core::spechd_config config;
-  if (const auto v = args.take_option("--dim")) config.encoder.dim = std::stoul(*v);
+  if (!take_dim(args, "encode", config.encoder.dim)) return 2;
   if (const int rc = reject_leftovers(args, "encode", 1)) return rc;
   if (args.positionals().empty() || !out) {
     std::cerr << "encode: need <input> and -o <store.sphv>\n";
@@ -1283,7 +1295,7 @@ int cmd_recover(arg_list& args) {
 
 int cmd_search(arg_list& args) {
   core::spechd_config pipeline_config;
-  if (const auto v = args.take_option("--dim")) pipeline_config.encoder.dim = std::stoul(*v);
+  if (!take_dim(args, "search", pipeline_config.encoder.dim)) return 2;
   const auto build = args.take_option("--build");
   const auto fasta = args.take_option("--fasta");
   const auto ref_spectra = args.take_option("--spectra");
