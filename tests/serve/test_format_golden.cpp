@@ -143,13 +143,13 @@ TEST(FormatGolden, JournalHeader) {
   header.shard_index = 1;
   header.shard_count = 2;
   header.generation = 3;
-  header.identity = fixed_service(core::assign_mode::bundle_representative).identity();
+  header.identity = fixed_service(core::assign_mode::complete_linkage).identity();
   journal_head head;
   head.path = journal_shard_path(dir.path, 1, 3);
   journal_config config;
   config.fsync = false;
   { journal_writer writer(head, header, config); }
-  expect_framed(file_bytes(head.path), {76, 0x2625e208u});
+  expect_framed(file_bytes(head.path), {76, 0xbd80ae67u});
 }
 
 TEST(FormatGolden, PipelineDigest) {
