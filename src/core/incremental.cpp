@@ -41,9 +41,8 @@ linkage_pick complete_linkage_select(std::span<const std::uint32_t> counts,
   return pick;
 }
 
-incremental_clusterer::incremental_clusterer(spechd_config config, assign_mode mode)
+incremental_clusterer::incremental_clusterer(spechd_config config)
     : config_(std::move(config)),
-      mode_(mode),
       encoder_(config_.encoder, config_.preprocess.quantize.mz_bins,
                config_.preprocess.quantize.intensity_levels) {}
 
@@ -156,23 +155,17 @@ void incremental_clusterer::assign(bucket_state& bucket, update_report& report) 
   const std::size_t words = dim / 64;
   const auto hv = row(bucket, bucket.members.size() - 1);
 
-  // Bundle mode selects against one majority row per cluster, complete
-  // linkage against every earlier member; both through one packed
-  // Hamming-tile row and complete_linkage_select. The counts row and the
-  // select's per-cluster scratch share one pooled arena: no per-assign
-  // heap allocation.
-  const bool reps = mode_ == assign_mode::bundle_representative;
-  const std::span<const std::int32_t> labels = reps ? rows.rep_labels : rows.labels;
-  const std::size_t n = labels.size();
+  // One packed Hamming-tile row against every earlier member, then
+  // complete_linkage_select. The counts row and the select's per-cluster
+  // scratch share one pooled arena: no per-assign heap allocation.
+  const std::size_t n = rows.labels.size();
   std::int32_t label = -1;
   if (n > 0) {
     const auto clusters = static_cast<std::size_t>(rows.cluster_count);
     arena_lease scratch = arena_pool::global().checkout((n + clusters) * sizeof(std::uint32_t));
     std::uint32_t* const counts = scratch.as<std::uint32_t>(n + clusters);
-    hdc::kernels::hamming_tile_packed(hv.data(), 1,
-                                      reps ? rows.rep_packed.data() : rows.packed.data(), n,
-                                      words, counts);
-    label = complete_linkage_select({counts, n}, labels, rows.cluster_count, dim,
+    hdc::kernels::hamming_tile_packed(hv.data(), 1, rows.packed.data(), n, words, counts);
+    label = complete_linkage_select({counts, n}, rows.labels, rows.cluster_count, dim,
                                     config_.distance_threshold, {counts + n, clusters})
                 .label;
   }
@@ -184,20 +177,6 @@ void incremental_clusterer::assign(bucket_state& bucket, update_report& report) 
     ++report.new_clusters;
   }
   rows.labels.push_back(label);
-  if (reps) {
-    // Representatives are in ascending label order, and a founded
-    // cluster's label is the largest yet, so it is appended.
-    const auto at = std::lower_bound(rows.rep_labels.begin(), rows.rep_labels.end(), label);
-    const auto r = static_cast<std::size_t>(at - rows.rep_labels.begin());
-    if (at == rows.rep_labels.end()) {
-      rows.rep_labels.push_back(label);
-      rows.rep_packed.resize(rows.rep_packed.size() + words);
-      bucket.bundles.emplace_back(dim);
-    }
-    bucket.bundles[r].add(hv);
-    std::ranges::copy(bucket.bundles[r].majority().words(),
-                      rows.rep_packed.begin() + static_cast<std::ptrdiff_t>(r * words));
-  }
 }
 
 void incremental_clusterer::recluster(bucket_state& bucket) {
@@ -209,7 +188,6 @@ void incremental_clusterer::recluster(bucket_state& bucket) {
   if (n == 1) {
     rows.cluster_count = 1;
     bucket.dirty = false;
-    rebuild_representatives(bucket);
     return;
   }
 
@@ -225,30 +203,6 @@ void incremental_clusterer::recluster(bucket_state& bucket) {
   rows.labels = std::move(flat.labels);
   rows.cluster_count = static_cast<std::int32_t>(flat.cluster_count);
   bucket.dirty = false;
-  rebuild_representatives(bucket);
-}
-
-void incremental_clusterer::rebuild_representatives(bucket_state& bucket) const {
-  bucket_rows& rows = bucket.rows;
-  rows.rep_packed.clear();
-  rows.rep_labels.clear();
-  bucket.bundles.clear();
-  if (mode_ != assign_mode::bundle_representative) return;
-  // Bundle counters are per-bit sums, so adding the members in arrival
-  // order reproduces the incrementally built bundles exactly, tie-break
-  // donor (each cluster's first member) included. Only labels that
-  // members carry get a representative.
-  std::map<std::int32_t, hdc::incremental_bundle> by_label;
-  for (std::size_t i = 0; i < bucket.members.size(); ++i) {
-    by_label.try_emplace(rows.labels[i], config_.encoder.dim).first->second.add(row(bucket, i));
-  }
-  for (auto& [label, bundle] : by_label) {
-    rows.rep_labels.push_back(label);
-    const auto majority = bundle.majority();
-    rows.rep_packed.insert(rows.rep_packed.end(), majority.words().begin(),
-                           majority.words().end());
-    bucket.bundles.push_back(std::move(bundle));
-  }
 }
 
 void incremental_clusterer::rebuild_dirty_buckets() {
@@ -374,7 +328,6 @@ void incremental_clusterer::import_state(clusterer_state state) {
     bucket.rows.labels = std::move(snap.local_labels);
     bucket.rows.cluster_count = snap.next_local;
     bucket.dirty = snap.dirty;
-    rebuild_representatives(bucket);
   }
 }
 

@@ -7,12 +7,12 @@
 // analysis."
 //
 // The incremental clusterer maintains per-bucket cluster state
-// (core::bucket_rows: the members' rows and labels, plus a majority-bundled
-// representative per cluster in bundle mode). New batches are preprocessed
-// and encoded once, then each new spectrum either joins the nearest
-// existing cluster (complete-linkage test against all members, matching
-// the batch pipeline's criterion) or founds a new cluster; buckets whose
-// membership changed re-run NN-chain locally when `rebuild` is requested.
+// (core::bucket_rows: the members' rows and labels). New batches are
+// preprocessed and encoded once, then each new spectrum either joins the
+// nearest existing cluster (complete-linkage test against all members,
+// matching the batch pipeline's criterion) or founds a new cluster; buckets
+// whose membership changed re-run NN-chain locally when `rebuild` is
+// requested.
 //
 // Two ingestion paths share one assignment semantic:
 //   * push() / add_spectra() — the sequential reference: one spectrum at a
@@ -37,7 +37,6 @@
 
 #include "cluster/nn_chain.hpp"
 #include "core/spechd.hpp"
-#include "hdc/bundle.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/hv_store.hpp"
 
@@ -88,20 +87,6 @@ struct bucket_rows {
   std::vector<std::uint64_t> packed;  ///< members' rows, arrival order
   std::vector<std::int32_t> labels;   ///< local cluster label per member
   std::int32_t cluster_count = 0;     ///< local labels lie in [0, this)
-  /// bundle_representative mode only (empty otherwise): the majority row of
-  /// each cluster that has members, in ascending label order, and its label.
-  std::vector<std::uint64_t> rep_packed;
-  std::vector<std::int32_t> rep_labels;
-};
-
-/// How new spectra are matched against existing clusters.
-enum class assign_mode {
-  /// Complete-linkage scan over every member (batch-equivalent criterion).
-  complete_linkage,
-  /// Compare against a majority-bundled representative per cluster — O(1)
-  /// Hamming tests per cluster instead of O(|cluster|); the HDC-native
-  /// streaming shortcut (slightly more permissive near the threshold).
-  bundle_representative,
 };
 
 /// Outcome of complete_linkage_select.
@@ -112,11 +97,8 @@ struct linkage_pick {
 
 /// The select of the streaming path, the one place it is written:
 /// incremental_clusterer's assignment and serve::shard::query both call
-/// it in both assign modes, so a query answers exactly what ingesting the
-/// spectrum would do. Complete-linkage mode passes the members' rows;
-/// bundle_representative mode passes the clusters' majority rows
-/// (bucket_rows::rep_packed), one per label, so a cluster's worst count is
-/// its representative's count.
+/// it over the bucket's member rows, so a query answers exactly what
+/// ingesting the spectrum would do.
 ///
 /// `counts[i]` is the Hamming count from the probe to row i, whose
 /// local label is `labels[i]`; every label must lie in [0, clusters). A
@@ -154,12 +136,10 @@ linkage_pick complete_linkage_select(std::span<const std::uint32_t> counts,
 /// same buckets.
 class incremental_clusterer {
 public:
-  /// `config` is copied; `mode` picks the assignment criterion (see
-  /// assign_mode). The config's kernel_variant is *not* applied here —
-  /// dispatch is process-global and owned by the pipeline/bench entry
-  /// points.
-  explicit incremental_clusterer(spechd_config config,
-                                 assign_mode mode = assign_mode::complete_linkage);
+  /// `config` is copied. The config's kernel_variant is *not* applied
+  /// here — dispatch is process-global and owned by the pipeline/bench
+  /// entry points.
+  explicit incremental_clusterer(spechd_config config);
   ~incremental_clusterer();
   incremental_clusterer(incremental_clusterer&&) noexcept;
   incremental_clusterer& operator=(incremental_clusterer&&) noexcept;
@@ -206,8 +186,7 @@ public:
   /// lie in [0, member count]. Throws spechd::error on any violation (the
   /// instance is unchanged then). After a successful import, subsequent
   /// pushes behave exactly as if this instance had ingested the original
-  /// sequence itself (bundle-representative state is rebuilt from the
-  /// records).
+  /// sequence itself.
   void import_state(clusterer_state state);
 
   /// Read-only view of one bucket, valid only inside for_each_bucket.
@@ -253,9 +232,6 @@ private:
     std::vector<std::uint32_t> members;  ///< record indices, arrival order
     bucket_rows rows;
     bool dirty = false;
-    /// bundle_representative mode: each cluster's bit counters, parallel
-    /// to rows.rep_labels.
-    std::vector<hdc::incremental_bundle> bundles;
 
     void append(std::uint32_t index, std::span<const std::uint64_t> hv) {
       members.push_back(index);
@@ -270,25 +246,17 @@ private:
   }
 
   /// Assigns the bucket's last member to a cluster: complete_linkage_select
-  /// over one packed Hamming-tile row against the earlier members
-  /// (complete_linkage) or the clusters' majority rows
-  /// (bundle_representative), then updates the joined or founded
-  /// cluster's majority row. Thread-safe for distinct buckets (mutates
-  /// only `bucket` and `report`).
+  /// over one packed Hamming-tile row against the earlier members.
+  /// Thread-safe for distinct buckets (mutates only `bucket` and `report`).
   void assign(bucket_state& bucket, update_report& report) const;
 
   void recluster(bucket_state& bucket);
-
-  /// Rebuilds the bundle-mode representatives from the members' labels
-  /// (clears them in complete_linkage mode).
-  void rebuild_representatives(bucket_state& bucket) const;
 
   /// Lazily-created shared pool (config_.threads workers) for push_batch,
   /// bootstrap, and rebuild_dirty_buckets.
   thread_pool& pool();
 
   spechd_config config_;
-  assign_mode mode_;
   hdc::id_level_encoder encoder_;
   std::vector<record_meta> records_;  ///< ingestion order
   std::map<std::int64_t, bucket_state> buckets_;

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "util/fixed_point.hpp"
 
@@ -599,32 +600,6 @@ __attribute__((target("avx2"))) void lance_williams_row_update_f32_avx2(
                                     static_cast<double>(keep_row[k]), u.d_ab, u.size_a,
                                     u.size_b, sizes[k]);
     keep_row[k] = static_cast<float>(round ? lw_store_q16(v) : v);
-  }
-}
-
-__attribute__((target("avx2"))) void bitsliced_add_avx2(std::uint64_t* planes,
-                                                        std::size_t words,
-                                                        std::size_t plane_count,
-                                                        const std::uint64_t* bits) noexcept {
-  std::size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    __m256i carry = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bits + w));
-    for (std::size_t p = 0; p < plane_count; ++p) {
-      if (_mm256_testz_si256(carry, carry)) break;
-      std::uint64_t* slot = planes + p * words + w;
-      const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(slot));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(slot), _mm256_xor_si256(a, carry));
-      carry = _mm256_and_si256(a, carry);
-    }
-  }
-  for (; w < words; ++w) {
-    std::uint64_t carry = bits[w];
-    for (std::size_t p = 0; p < plane_count && carry != 0; ++p) {
-      std::uint64_t& a = planes[p * words + w];
-      const std::uint64_t t = a ^ carry;
-      carry &= a;
-      a = t;
-    }
   }
 }
 
@@ -1299,8 +1274,6 @@ struct kernel_table {
                               std::size_t, std::size_t, std::uint32_t*) noexcept;
   std::size_t (*k_select)(const std::uint32_t*, std::size_t, std::size_t,
                           select_entry*) noexcept;
-  void (*bitsliced_add)(std::uint64_t*, std::size_t, std::size_t,
-                        const std::uint64_t*) noexcept;
   void (*encode_majority)(const bind_rows*, std::size_t, std::size_t, const std::uint64_t*,
                           std::uint64_t*);
   row_min (*nearest_active_scan)(const double*, const std::uint8_t*,
@@ -1317,7 +1290,6 @@ constexpr kernel_table scalar_table{popcount_scalar,
                                     xor_popcount_scalar,
                                     hamming_tile_packed_scalar,
                                     k_select_scalar,
-                                    bitsliced_add_scalar,
                                     encode_majority_scalar,
                                     nearest_active_scan_scalar,
                                     lance_williams_row_update_scalar,
@@ -1331,17 +1303,13 @@ kernel_table table_for(variant v) noexcept {
       return {popcount_avx2,           xor_popcount_avx2,
               hamming_tile_packed_avx2,
               k_select_avx2,
-              bitsliced_add_avx2,
               encode_majority_avx2,
               nearest_active_scan_avx2, lance_williams_row_update_avx2,
               nearest_active_scan_f32_avx2, lance_williams_row_update_f32_avx2};
     case variant::avx512:
-      // The bit-sliced ripple is bound by carry shortening, not lane width;
-      // AVX2 add alongside the 512-bit popcount datapath measures fastest.
       return {popcount_avx512,          xor_popcount_avx512,
               hamming_tile_packed_avx512,
               k_select_avx512,
-              bitsliced_add_avx2,
               encode_majority_avx512,
               nearest_active_scan_avx512, lance_williams_row_update_avx512,
               nearest_active_scan_f32_avx512, lance_williams_row_update_f32_avx512};
@@ -1454,43 +1422,6 @@ void lance_williams_row_update(float* keep_row, const float* gone_row,
 void encode_majority(const bind_rows* peaks, std::size_t n, std::size_t words,
                      const std::uint64_t* tie_bits, std::uint64_t* out) {
   state().table.encode_majority(peaks, n, words, tie_bits, out);
-}
-
-// ---------------------------------------------------------------------------
-// bitsliced_accumulator
-// ---------------------------------------------------------------------------
-
-void bitsliced_accumulator::reset(std::size_t words) {
-  words_ = words;
-  adds_ = 0;
-  planes_.clear();
-}
-
-void bitsliced_accumulator::ensure_planes(std::size_t planes) {
-  if (plane_count() < planes) planes_.resize(planes * words_, 0);
-}
-
-void bitsliced_accumulator::add(const std::uint64_t* bits) {
-  SPECHD_EXPECTS(words_ > 0);
-  ++adds_;
-  ensure_planes(static_cast<std::size_t>(std::bit_width(adds_)));
-  state().table.bitsliced_add(planes_.data(), words_, plane_count(), bits);
-}
-
-void bitsliced_accumulator::majority(const std::uint64_t* tie_bits,
-                                     std::uint64_t* out) const {
-  majority_planes(planes_.data(), words_, plane_count(), adds_, tie_bits, out);
-}
-
-std::uint64_t bitsliced_accumulator::count_at(std::size_t dim) const {
-  SPECHD_EXPECTS(dim < words_ * 64);
-  const std::size_t w = dim / 64;
-  const std::size_t bit = dim % 64;
-  std::uint64_t count = 0;
-  for (std::size_t p = 0; p < plane_count(); ++p) {
-    count |= ((planes_[p * words_ + w] >> bit) & 1ULL) << p;
-  }
-  return count;
 }
 
 }  // namespace spechd::hdc::kernels

@@ -20,16 +20,15 @@
 //     full-adder logic (VPTERNLOG on AVX-512) before the expensive
 //     popcount, halving popcount-port pressure. Counts are exact integers,
 //     so every variant is trivially bit-identical to the scalar reference.
-//   * bitsliced_accumulator — a carry-save (bit-sliced) majority counter:
-//     instead of scattering every set bit of a bound word into per-bit
-//     integer counters, counts are kept as bit planes and each 64-dim word
-//     is added with a ripple-carry of word-wide AND/XOR. This is the
+//   * encode_majority — ID-Level encoding (Eq. 2) of one spectrum: a
+//     carry-save (bit-sliced) majority over every peak's ID-row XOR
+//     Level-row. Instead of scattering every set bit of a bound word into
+//     per-bit integer counters, counts are kept as bit planes and each
+//     64-dim word is added with a ripple-carry of word-wide AND/XOR — the
 //     combinational counter tree of Schmuck et al.'s dense-binary-HDC
-//     hardware optimisations, expressed in SIMD registers.
-//   * encode_majority — ID-Level encoding (Eq. 2) of one spectrum: the same
-//     bit-sliced majority over every peak's ID-row XOR Level-row, computed
-//     one 4- or 8-word lane group at a time with the group's counter planes
-//     held in registers, so each output word is stored once.
+//     hardware optimisations, expressed in SIMD registers. It runs one 4-
+//     or 8-word lane group at a time with the group's counter planes held
+//     in registers, so each output word is stored once.
 //   * nearest_active_scan / lance_williams_row_update — the HAC row
 //     kernels: NN-chain's nearest-neighbour scan is an argmin over a flat
 //     row of doubles (retired columns are parked at +inf so no mask load
@@ -46,7 +45,6 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "util/error.hpp"
 
@@ -229,49 +227,14 @@ struct bind_rows {
 inline constexpr std::size_t encode_register_planes = 9;
 
 /// ID-Level encoding (Eq. 2): out[0..words) = bitwise majority of the n
-/// bound vectors peaks[p].id ^ peaks[p].level, with bitsliced_accumulator's
-/// tie rule (n even and a count of exactly n/2 takes the tie_bits bit; n == 0
-/// yields tie_bits). The scalar variant is the plane-major reference — one
-/// accumulator pass per peak. The SIMD variants keep each 4- or 8-word
+/// bound vectors peaks[p].id ^ peaks[p].level: bit d is set when more than
+/// n/2 of them set it, and when n is even and exactly n/2 do, it takes the
+/// tie_bits bit (n == 0 yields tie_bits). The scalar variant is the
+/// plane-major reference — one ripple-carry pass per peak. The SIMD variants keep each 4- or 8-word
 /// group's bit_width(n) counter planes in registers, add the peaks' bound
 /// slices into them four at a time (full adders, then a carry ripple), and
 /// threshold and store the group once.
 void encode_majority(const bind_rows* peaks, std::size_t n, std::size_t words,
                      const std::uint64_t* tie_bits, std::uint64_t* out);
-
-/// Carry-save bit-sliced counter over `words` 64-bit lanes (64 dimensions
-/// per word). add() accumulates one 0/1 observation per dimension from a
-/// packed word array; majority() thresholds against the add count with the
-/// scalar reference's exact tie semantics.
-class bitsliced_accumulator {
-public:
-  bitsliced_accumulator() = default;
-  explicit bitsliced_accumulator(std::size_t words) { reset(words); }
-
-  /// Clears all counts and resizes to `words` 64-bit lanes.
-  void reset(std::size_t words);
-
-  std::size_t words() const noexcept { return words_; }
-  std::size_t plane_count() const noexcept { return planes_.size() / (words_ ? words_ : 1); }
-  std::uint64_t additions() const noexcept { return adds_; }
-
-  /// Adds bit d of `bits` to dimension d's counter, for all 64*words dims.
-  void add(const std::uint64_t* bits);
-
-  /// Writes the majority vector into out[0..words): bit d = count_d > n/2,
-  /// where n = additions(); when n is even and count_d == n/2 exactly, the
-  /// bit is taken from tie_bits (the deterministic tie-break donor).
-  void majority(const std::uint64_t* tie_bits, std::uint64_t* out) const;
-
-  /// Exact per-dimension count (test/diagnostic path; O(planes)).
-  std::uint64_t count_at(std::size_t dim) const;
-
-private:
-  void ensure_planes(std::size_t planes);
-
-  std::size_t words_ = 0;
-  std::uint64_t adds_ = 0;
-  std::vector<std::uint64_t> planes_;  ///< plane-major: planes_[p * words_ + w]
-};
 
 }  // namespace spechd::hdc::kernels

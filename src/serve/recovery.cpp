@@ -66,8 +66,7 @@ std::optional<snapshot_identity> probe_journal_dir(const std::string& dir) {
 }
 
 recovered_state recover_journal_dir(const std::string& dir,
-                                    const core::spechd_config& pipeline,
-                                    core::assign_mode mode, std::size_t shards,
+                                    const core::spechd_config& pipeline, std::size_t shards,
                                     const snapshot_identity& expected_identity,
                                     const recovery_progress_fn& progress) {
   const auto start = std::chrono::steady_clock::now();
@@ -197,7 +196,7 @@ recovered_state recover_journal_dir(const std::string& dir,
     // Replay through a standalone clusterer: exactly the code the live
     // shard writer runs, so the rebuilt state cannot diverge from what an
     // uninterrupted run would hold.
-    core::incremental_clusterer clusterer(pipeline, mode);
+    core::incremental_clusterer clusterer(pipeline);
     if (dir_state.snapshot_generation) clusterer.import_state(std::move(base[s]));
 
     journal_head head;

@@ -101,16 +101,15 @@ struct recovery_progress {
 using recovery_progress_fn = std::function<void(const recovery_progress&)>;
 
 /// Rebuilds the per-shard clusterer states from `dir` and computes where
-/// each shard's journal continues. `pipeline`/`mode`/`shards` must match
-/// the directory's identity block (dim, seed, threshold, bucketing, mode,
-/// digest, *and* shard count — per-shard journals do not re-route);
+/// each shard's journal continues. `pipeline`/`shards` must match the
+/// directory's identity block (dim, seed, threshold, bucketing, digest,
+/// *and* shard count — per-shard journals do not re-route);
 /// mismatch throws parse_error. Corrupt snapshots/headers and non-tail
 /// torn records throw parse_error; an unreadable directory throws
 /// io_error. A fresh directory yields empty states and fresh
 /// generation-0 heads (report.recovered = false).
 recovered_state recover_journal_dir(const std::string& dir,
-                                    const core::spechd_config& pipeline,
-                                    core::assign_mode mode, std::size_t shards,
+                                    const core::spechd_config& pipeline, std::size_t shards,
                                     const snapshot_identity& expected_identity,
                                     const recovery_progress_fn& progress = {});
 

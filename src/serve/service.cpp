@@ -36,8 +36,7 @@ clustering_service::clustering_service(serve_config config)
   const auto pipeline = shard_pipeline_config(config_);
   shards_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
-    shards_.push_back(
-        std::make_unique<shard>(s, pipeline, config_.mode, config_.queue_capacity));
+    shards_.push_back(std::make_unique<shard>(s, pipeline, config_.queue_capacity));
   }
   if (journaled()) attach_journal_dir();
   // The query encoder, every shard clusterer and recovery's replay
@@ -101,9 +100,8 @@ std::optional<maintenance_scheduler::counters> clustering_service::maintenance_s
 void clustering_service::attach_journal_dir() {
   const auto& dir = config_.journal.dir;
   std::filesystem::create_directories(dir);
-  auto recovered = recover_journal_dir(dir, shard_pipeline_config(config_), config_.mode,
-                                       shards_.size(), identity(),
-                                       config_.recovery_progress);
+  auto recovered = recover_journal_dir(dir, shard_pipeline_config(config_), shards_.size(),
+                                       identity(), config_.recovery_progress);
   if (recovered.report.recovered) {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       shards_[s]->run_exclusive(
@@ -413,7 +411,6 @@ snapshot_identity clustering_service::identity() const {
   id.distance_threshold = config_.pipeline.distance_threshold;
   id.bucket_resolution = config_.pipeline.preprocess.bucketing.resolution;
   id.fallback_charge = config_.pipeline.preprocess.bucketing.fallback_charge;
-  id.assign_mode = static_cast<std::uint32_t>(config_.mode);
   id.shard_count = static_cast<std::uint32_t>(shards_.size());
   id.config_digest = pipeline_digest(config_.pipeline);
   return id;

@@ -44,7 +44,6 @@ struct serve_config {
   /// `pipeline.threads` sizes each shard's *internal* pool and defaults to
   /// 1 when 0 — service parallelism comes from shards, not nested pools.
   core::spechd_config pipeline;
-  core::assign_mode mode = core::assign_mode::complete_linkage;
   std::size_t shards = 4;
   /// Ingest jobs (batches) buffered per shard before producers block.
   std::size_t queue_capacity = 16;
@@ -158,7 +157,7 @@ public:
 
   /// Drains, then *replaces* all state with the snapshot. The snapshot's
   /// identity block must match this service's config (dim, seed,
-  /// threshold, bucketing, mode) — mismatch throws parse_error. The shard
+  /// threshold, bucketing) — mismatch throws parse_error. The shard
   /// count may differ: buckets are re-routed onto this service's shards.
   void restore_file(const std::string& path);
 

@@ -50,12 +50,8 @@ const char* shard_health_name(shard_health health) noexcept {
   return "?";
 }
 
-shard::shard(std::size_t id, const core::spechd_config& config, core::assign_mode mode,
-             std::size_t queue_capacity)
-    : id_(id),
-      mode_(mode),
-      clusterer_(config, mode),
-      queue_(queue_capacity) {
+shard::shard(std::size_t id, const core::spechd_config& config, std::size_t queue_capacity)
+    : id_(id), clusterer_(config), queue_(queue_capacity) {
   view_.store(std::make_shared<shard_view>());  // empty view: queries never see null
   writer_ = std::thread([this] { writer_loop(); });
 }
@@ -491,11 +487,9 @@ query_result shard::query(const hdc::hypervector& hv, std::int64_t bucket_key,
   // One packed Hamming-tile row against every member — the same kernels
   // (and the same normalisation) the ingest assignment path uses.
   obs::trace_span probe_span(probe_ns, obs::stage::bucket_probe);
-  const std::size_t reps = bucket.rep_labels.size();
   const auto clusters = static_cast<std::size_t>(bucket.cluster_count);
-  // The member row, the representative row (empty outside bundle mode),
-  // then one entry per cluster for the select.
-  std::vector<std::uint32_t> scratch(n + reps + clusters);
+  // The member row, then one entry per cluster for the select.
+  std::vector<std::uint32_t> scratch(n + clusters);
   std::uint32_t* const counts = scratch.data();
   hdc::kernels::hamming_tile_packed(hv.words().data(), 1, bucket.packed.data(), n, words,
                                     counts);
@@ -507,19 +501,11 @@ query_result shard::query(const hdc::hypervector& hv, std::int64_t bucket_key,
   }
   probe_span.finish();
 
-  // Select over the rows assign() selects over: the clusters' majority
-  // rows in bundle mode, the members otherwise.
+  // The same select assign() runs over the same member rows.
   obs::trace_span select_span(select_ns, obs::stage::select);
-  std::span<const std::uint32_t> row(counts, n);
-  std::span<const std::int32_t> labels = bucket.labels;
-  if (mode_ == core::assign_mode::bundle_representative) {
-    hdc::kernels::hamming_tile_packed(hv.words().data(), 1, bucket.rep_packed.data(), reps,
-                                      words, counts + n);
-    row = {counts + n, reps};
-    labels = bucket.rep_labels;
-  }
-  const auto pick = core::complete_linkage_select(row, labels, bucket.cluster_count, hv.dim(),
-                                                  threshold, {counts + n + reps, clusters});
+  const auto pick = core::complete_linkage_select({counts, n}, bucket.labels,
+                                                  bucket.cluster_count, hv.dim(), threshold,
+                                                  {counts + n, clusters});
   if (pick.label >= 0) {
     result.matched = true;
     result.local_label = pick.label;

@@ -125,8 +125,7 @@ public:
   /// Starts the writer thread. `config.threads` sizes the clusterer's
   /// internal pool (the service passes 1: parallelism comes from shards).
   /// Every applied batch publishes a view epoch.
-  shard(std::size_t id, const core::spechd_config& config, core::assign_mode mode,
-        std::size_t queue_capacity);
+  shard(std::size_t id, const core::spechd_config& config, std::size_t queue_capacity);
 
   /// Closes the queue, drains remaining jobs, joins the writer.
   ~shard();
@@ -231,9 +230,8 @@ public:
   /// Query against the published view using *the same criterion ingest
   /// assignment uses* — so "query then ingest" agrees with the assignment
   /// the spectrum would get: core::complete_linkage_select over one packed
-  /// Hamming-tile row against the bucket's members (complete_linkage) or
-  /// its clusters' majority rows (bundle_representative), matched if the
-  /// pick passes `threshold`. Safe from any thread.
+  /// Hamming-tile row against the bucket's members, matched if the pick
+  /// passes `threshold`. Safe from any thread.
   query_result query(const hdc::hypervector& hv, std::int64_t bucket_key,
                      double threshold) const;
 
@@ -263,7 +261,6 @@ private:
   void update_status() const;
 
   std::size_t id_;
-  core::assign_mode mode_;
   core::incremental_clusterer clusterer_;  ///< writer-thread-owned
   std::unique_ptr<journal_writer> journal_;  ///< writer-thread-owned after attach
   mpsc_queue<std::function<void()>> queue_;

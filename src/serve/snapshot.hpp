@@ -14,12 +14,12 @@
 //     identity block — the knobs that must match for resume to be exact:
 //       dim u32 (a multiple of 64 up to hdc::k_max_dim), encoder seed
 //       u64, distance threshold f64, bucket resolution f64, fallback
-//       charge i32, assign mode u32, shard count u32, pipeline digest
-//       u32 (CRC-32 over *every* remaining encode/assign-relevant
-//       pipeline knob — filter, top-k selector, normalisation,
-//       quantisation, linkage, fixed-point — so a restore into a
-//       differently-preprocessing service is rejected even though those
-//       knobs aren't stored field by field)
+//       charge i32, assign mode u32 (always 0: complete linkage),
+//       shard count u32, pipeline digest u32 (CRC-32 over *every*
+//       remaining encode/assign-relevant pipeline knob — filter, top-k
+//       selector, normalisation, quantisation, linkage, fixed-point — so
+//       a restore into a differently-preprocessing service is rejected
+//       even though those knobs aren't stored field by field)
 //     per shard: hv_store (the .sphv layout, hdc/hv_store.hpp)
 //                + bucket table { count u64, then per bucket: key i64,
 //                  n u64, members u32[n], labels i32[n], next_local i32,
@@ -58,7 +58,7 @@ struct snapshot_identity {
   double distance_threshold = 0.0;
   double bucket_resolution = 0.0;
   std::int32_t fallback_charge = 0;
-  std::uint32_t assign_mode = 0;   ///< core::assign_mode as integer
+  std::uint32_t assign_mode = 0;   ///< always 0 (complete linkage); readers refuse others
   std::uint32_t shard_count = 0;   ///< shards at snapshot time (informational)
   /// pipeline_digest() of the writing service — covers the pipeline knobs
   /// not stored above (preprocessing, linkage, fixed point), all of which
@@ -123,8 +123,6 @@ template <>
 struct spechd::ms::wire<spechd::serve::snapshot_identity> {
   template <typename V, typename R>
   static bool fields(V& v, R& id) {
-    constexpr auto last_mode =
-        static_cast<std::uint32_t>(core::assign_mode::bundle_representative);
     return v(id.dim) &&
            v.valid(hdc::dim_in_range(id.dim),
                    [&] {
@@ -134,7 +132,7 @@ struct spechd::ms::wire<spechd::serve::snapshot_identity> {
                    }) &&
            v(id.encoder_seed, id.distance_threshold, id.bucket_resolution,
              id.fallback_charge, id.assign_mode) &&
-           v.valid(id.assign_mode <= last_mode,
+           v.valid(id.assign_mode == 0,
                    [&] { return "unknown assign_mode " + std::to_string(id.assign_mode); }) &&
            v(id.shard_count, id.config_digest);
   }

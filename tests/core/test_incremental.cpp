@@ -160,35 +160,5 @@ TEST(Incremental, EmptyBatchIsNoop) {
   EXPECT_EQ(inc.cluster_count(), 0U);
 }
 
-
-TEST(IncrementalBundleMode, ClustersWithComparableQuality) {
-  const auto data = make_dataset(12);
-  std::vector<std::int32_t> truth;
-  for (const auto& s : data.spectra) truth.push_back(s.label);
-
-  incremental_clusterer exact(config(), assign_mode::complete_linkage);
-  incremental_clusterer fast(config(), assign_mode::bundle_representative);
-  exact.add_spectra(data.spectra);
-  fast.add_spectra(data.spectra);
-
-  const auto q_exact = metrics::evaluate_clustering(truth, exact.clustering());
-  const auto q_fast = metrics::evaluate_clustering(truth, fast.clustering());
-  // The bundled representative is a faster, slightly more permissive
-  // criterion; quality must stay in the same regime.
-  EXPECT_GT(q_fast.clustered_ratio, q_exact.clustered_ratio * 0.8);
-  EXPECT_LT(q_fast.incorrect_ratio, 0.10);
-}
-
-TEST(IncrementalBundleMode, RebuildRefreshesRepresentatives) {
-  const auto data = make_dataset(13);
-  incremental_clusterer fast(config(), assign_mode::bundle_representative);
-  fast.add_spectra(data.spectra);
-  fast.rebuild_dirty_buckets();
-  // After a rebuild, adding replicates of existing peptides must still
-  // mostly join (representatives were rebuilt, not dropped).
-  const auto report = fast.add_spectra(data.spectra);
-  EXPECT_GT(report.joined_existing, report.new_clusters);
-}
-
 }  // namespace
 }  // namespace spechd::core

@@ -98,15 +98,6 @@ TEST(IncrementalBatch, PushMatchesSingletonBatch) {
   expect_same_clustering(one_by_one, batched, "push vs push_batch");
 }
 
-TEST(IncrementalBatch, BundleModeMatchesSequential) {
-  const auto data = make_dataset(45);
-  incremental_clusterer sequential(config(), assign_mode::bundle_representative);
-  incremental_clusterer batched(config(4), assign_mode::bundle_representative);
-  sequential.add_spectra(data.spectra);
-  batched.push_batch(data.spectra);
-  expect_same_clustering(sequential, batched, "bundle mode");
-}
-
 TEST(IncrementalBatch, MultipleBatchesAndRebuild) {
   const auto data = make_dataset(46);
   const std::size_t half = data.spectra.size() / 2;

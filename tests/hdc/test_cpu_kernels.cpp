@@ -1,8 +1,8 @@
 // Equivalence tests for the dispatching kernel layer: every SIMD variant
 // and every thread count must produce *bit-identical* results to the scalar
 // reference — same Hamming counts, same encoded vectors (including the
-// even-count tie-break), same bundle majorities — so kernel dispatch can
-// never move quality metrics.
+// even-count tie-break) — so kernel dispatch can never move quality
+// metrics.
 #include "hdc/cpu_kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <bit>
 #include <vector>
 
-#include "hdc/bundle.hpp"
 #include "hdc/distance.hpp"
 #include "hdc/encoder.hpp"
 #include "util/rng.hpp"
@@ -172,77 +171,6 @@ TEST(HammingTilePacked, MatchesPointerTileOnRandomTrials) {
   }
 }
 
-TEST(BitslicedAccumulator, CountsMatchIntegerCountersForAllVariants) {
-  variant_guard guard;
-  constexpr std::size_t words = 4;
-  constexpr std::size_t dims = words * 64;
-  constexpr std::size_t adds = 137;
-  xoshiro256ss data_rng(17);
-  std::vector<std::vector<std::uint64_t>> inputs;
-  for (std::size_t i = 0; i < adds; ++i) inputs.push_back(random_words(words, data_rng));
-
-  std::vector<std::uint32_t> reference(dims, 0);
-  for (const auto& in : inputs) {
-    for (std::size_t d = 0; d < dims; ++d) {
-      reference[d] += static_cast<std::uint32_t>((in[d / 64] >> (d % 64)) & 1ULL);
-    }
-  }
-
-  for (const auto v : supported_variants()) {
-    k::set_active(v);
-    k::bitsliced_accumulator acc(words);
-    for (const auto& in : inputs) acc.add(in.data());
-    EXPECT_EQ(acc.additions(), adds);
-    for (std::size_t d = 0; d < dims; ++d) {
-      ASSERT_EQ(acc.count_at(d), reference[d]) << k::variant_name(v) << " dim=" << d;
-    }
-  }
-}
-
-TEST(BitslicedAccumulator, MajorityMatchesReferenceIncludingEvenTies) {
-  variant_guard guard;
-  constexpr std::size_t words = 2;
-  constexpr std::size_t dims = words * 64;
-  for (const std::size_t adds : {1UL, 2UL, 6UL, 7UL, 64UL}) {
-    xoshiro256ss rng(100 + adds);
-    std::vector<std::vector<std::uint64_t>> inputs;
-    for (std::size_t i = 0; i < adds; ++i) inputs.push_back(random_words(words, rng));
-    const auto tie = random_words(words, rng);
-
-    // Integer-counter reference with the scalar path's exact tie rule.
-    std::vector<std::uint32_t> counts(dims, 0);
-    for (const auto& in : inputs) {
-      for (std::size_t d = 0; d < dims; ++d) {
-        counts[d] += static_cast<std::uint32_t>((in[d / 64] >> (d % 64)) & 1ULL);
-      }
-    }
-    const std::size_t half = adds / 2;
-    const bool even = adds % 2 == 0;
-    std::vector<std::uint64_t> expected(words, 0);
-    bool tie_hit = false;
-    for (std::size_t d = 0; d < dims; ++d) {
-      bool bit;
-      if (even && counts[d] == half) {
-        bit = ((tie[d / 64] >> (d % 64)) & 1ULL) != 0;
-        tie_hit = true;
-      } else {
-        bit = counts[d] > half;
-      }
-      if (bit) expected[d / 64] |= 1ULL << (d % 64);
-    }
-    if (even) EXPECT_TRUE(tie_hit) << "even case should exercise the tie-break";
-
-    for (const auto v : supported_variants()) {
-      k::set_active(v);
-      k::bitsliced_accumulator acc(words);
-      for (const auto& in : inputs) acc.add(in.data());
-      std::vector<std::uint64_t> out(words, 0);
-      acc.majority(tie.data(), out.data());
-      EXPECT_EQ(out, expected) << k::variant_name(v) << " adds=" << adds;
-    }
-  }
-}
-
 TEST(PairwiseHamming, VariantsAndThreadCountsBitIdentical) {
   variant_guard guard;
   for (const std::size_t dim : {64UL, 2048UL, 4096UL}) {
@@ -376,28 +304,6 @@ TEST(Encoder, VariantsBitIdenticalOnProductionTable) {
     spectra.push_back(random_quantized(peaks, qc.mz_bins, qc.intensity_levels, rng));
   }
   expect_encode_bit_identical(encoder, spectra);
-}
-
-TEST(Bundle, VariantsBitIdenticalIncludingEvenMemberTies) {
-  variant_guard guard;
-  for (const std::size_t members : {1UL, 2UL, 5UL, 8UL}) {
-    const auto hvs = random_hvs(members, 2048, 31 + members);
-
-    k::set_active(k::variant::scalar);
-    incremental_bundle ref_bundle(2048);
-    for (const auto& hv : hvs) ref_bundle.add(hv.words());
-    const auto reference = ref_bundle.majority();
-
-    for (const auto v : supported_variants()) {
-      k::set_active(v);
-      incremental_bundle bundle(2048);
-      for (const auto& hv : hvs) bundle.add(hv.words());
-      EXPECT_EQ(bundle.members(), members);
-      EXPECT_EQ(bundle.majority(), reference)
-          << k::variant_name(v) << " members=" << members;
-      EXPECT_EQ(bundle_majority(hvs), reference) << k::variant_name(v);
-    }
-  }
 }
 
 }  // namespace

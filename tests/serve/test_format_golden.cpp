@@ -1,5 +1,5 @@
 // Golden bytes for every persisted format: the .sphsnap snapshot of a
-// 2-shard service in each assign mode, the .sphlib library, the .sphv
+// 2-shard service, the .sphlib library, the .sphv
 // store, the journal file header, pipeline_digest and canonical_state
 // (with and without scan counters), all from fixed inputs. A change to
 // any writer or to the encoder shows up here as a changed length or CRC.
@@ -76,12 +76,11 @@ void expect_plain(const std::string& bytes, golden want) {
   EXPECT_EQ(crc32(bytes.data(), bytes.size()), want.crc);
 }
 
-clustering_service fixed_service(core::assign_mode mode) {
+clustering_service fixed_service() {
   serve_config sc;
   sc.pipeline = fixed_config();
   sc.shards = 2;
   sc.queue_capacity = 4;
-  sc.mode = mode;
   return clustering_service(sc);
 }
 
@@ -94,31 +93,15 @@ void ingest_fixed(clustering_service& service) {
   }
 }
 
-TEST(FormatGolden, SnapshotInEachAssignMode) {
-  struct mode_case {
-    core::assign_mode mode;
-    const char* name;
-    golden snapshot;
-    golden canonical;
-    golden canonical_without_scan;
-  };
-  const mode_case cases[] = {
-      {core::assign_mode::complete_linkage, "complete",
-       {5828, 0xf04b765bu}, {5424, 0x1b504631u}, {5288, 0x2fe114e5u}},
-      {core::assign_mode::bundle_representative, "bundle",
-       {5828, 0xc66dadb8u}, {5424, 0x856d2542u}, {5288, 0xabafc834u}},
-  };
-  for (const auto& c : cases) {
-    SCOPED_TRACE(c.name);
-    auto service = fixed_service(c.mode);
-    ingest_fixed(service);
-    temp_path snap(std::string("snapshot_") + c.name);
-    service.snapshot_file(snap.path);
-    expect_framed(file_bytes(snap.path), c.snapshot);
-    const auto states = service.export_states();
-    expect_plain(canonical_state(states), c.canonical);
-    expect_plain(canonical_state(states, /*include_scan=*/false), c.canonical_without_scan);
-  }
+TEST(FormatGolden, Snapshot) {
+  auto service = fixed_service();
+  ingest_fixed(service);
+  temp_path snap("snapshot");
+  service.snapshot_file(snap.path);
+  expect_framed(file_bytes(snap.path), {5828, 0xf04b765bu});
+  const auto states = service.export_states();
+  expect_plain(canonical_state(states), {5424, 0x1b504631u});
+  expect_plain(canonical_state(states, /*include_scan=*/false), {5288, 0x2fe114e5u});
 }
 
 TEST(FormatGolden, SpectralLibrary) {
@@ -129,7 +112,7 @@ TEST(FormatGolden, SpectralLibrary) {
 }
 
 TEST(FormatGolden, HvStore) {
-  auto service = fixed_service(core::assign_mode::complete_linkage);
+  auto service = fixed_service();
   ingest_fixed(service);
   temp_path store("store");
   service.to_store().save_file(store.path);
@@ -143,7 +126,7 @@ TEST(FormatGolden, JournalHeader) {
   header.shard_index = 1;
   header.shard_count = 2;
   header.generation = 3;
-  header.identity = fixed_service(core::assign_mode::complete_linkage).identity();
+  header.identity = fixed_service().identity();
   journal_head head;
   head.path = journal_shard_path(dir.path, 1, 3);
   journal_config config;

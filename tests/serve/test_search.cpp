@@ -578,11 +578,10 @@ TEST(SpectralLibrary, ServiceRejectsMismatchedIdentity) {
   EXPECT_FALSE(service.has_library());
 
   // The library identity deliberately ignores clustering-only knobs: a
-  // service with a different threshold/mode still accepts it.
+  // service with a different threshold and shard count still accepts it.
   serve_config clustering_differs;
   clustering_differs.pipeline = config;
   clustering_differs.pipeline.distance_threshold = 0.1;
-  clustering_differs.mode = core::assign_mode::bundle_representative;
   clustering_differs.shards = 2;
   clustering_service tolerant(clustering_differs);
   tolerant.load_library(file.path);

@@ -141,13 +141,13 @@ TEST(ClusteringService, QueryFindsIngestedSpectra) {
   EXPECT_EQ(encodable, service.stats().record_count);
 }
 
-/// A query must answer what ingesting the spectrum would do. A probe
-/// clusterer holding exactly the queried shard's exported state pushes the
-/// spectrum; it must join an existing cluster iff the query matched, and
-/// then the same local label, whose size the query reports. Fresh probe
-/// per query, so probes don't interact. One spectrum in four is held out
-/// of ingest, so queries also miss.
-void expect_query_agrees_with_assignment(core::assign_mode mode) {
+// A query must answer what ingesting the spectrum would do. A probe
+// clusterer holding exactly the queried shard's exported state pushes the
+// spectrum; it must join an existing cluster iff the query matched, and
+// then the same local label, whose size the query reports. Fresh probe
+// per query, so probes don't interact. One spectrum in four is held out
+// of ingest, so queries also miss.
+TEST(ClusteringService, CompleteLinkageQueryAgreesWithAssignment) {
   const auto stream = sample_stream(24, 5);
   std::vector<ms::spectrum> ingested;
   for (std::size_t i = 0; i < stream.size(); ++i) {
@@ -155,7 +155,6 @@ void expect_query_agrees_with_assignment(core::assign_mode mode) {
   }
   serve_config sc;
   sc.pipeline = small_config();
-  sc.mode = mode;
   sc.shards = 2;
   clustering_service service(sc);
   service.ingest(ingested);
@@ -168,7 +167,7 @@ void expect_query_agrees_with_assignment(core::assign_mode mode) {
     const auto& s = stream[i];
     const auto r = service.query(s);
     if (!r.encodable) continue;
-    core::incremental_clusterer probe(sc.pipeline, mode);
+    core::incremental_clusterer probe(sc.pipeline);
     probe.import_state(states.at(r.shard));
     const auto report = probe.push(s);
     ASSERT_EQ(report.added, 1U) << "spectrum " << i;
@@ -194,16 +193,6 @@ void expect_query_agrees_with_assignment(core::assign_mode mode) {
   }
   EXPECT_GT(matched, 0U);
   EXPECT_GT(unmatched, 0U);
-}
-
-TEST(ClusteringService, BundleModeQueryAgreesWithAssignment) {
-  // Bundle mode assigns against each cluster's majority representative;
-  // queries must select over the same rows.
-  expect_query_agrees_with_assignment(core::assign_mode::bundle_representative);
-}
-
-TEST(ClusteringService, CompleteLinkageQueryAgreesWithAssignment) {
-  expect_query_agrees_with_assignment(core::assign_mode::complete_linkage);
 }
 
 TEST(ClusteringService, QueryAgainstEmptyServiceIsClean) {
@@ -287,7 +276,7 @@ TEST(ClusteringService, OneViewEpochPerAppliedBatch) {
     return std::vector<ms::spectrum>{stream.begin() + static_cast<std::ptrdiff_t>(i * 8),
                                      stream.begin() + static_cast<std::ptrdiff_t>(i * 8 + 8)};
   };
-  shard sh(0, config, core::assign_mode::complete_linkage, /*queue_capacity=*/8);
+  shard sh(0, config, /*queue_capacity=*/8);
 
   // Park the writer on a blocking job so three batches pile up behind it:
   // batches 1 and 2 are then applied with a non-empty queue.

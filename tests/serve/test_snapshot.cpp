@@ -198,21 +198,21 @@ TEST(Snapshot, CorruptionIsRejected) {
   // Truncation (mid-payload and mid-CRC).
   expect_rejected(original.substr(0, original.size() / 2), "truncated payload");
   expect_rejected(original.substr(0, original.size() - 2), "truncated crc");
-  // An assign_mode outside the enum behind a recomputed CRC: the identity
-  // parser (shared by .sphsnap, journal headers and .sphlib) must refuse
-  // it rather than hand it to a config. It sits 32 bytes into the payload,
-  // after dim, seed, threshold, bucket resolution and fallback charge.
-  {
+  // An assign_mode other than 0 (complete linkage, the only criterion)
+  // behind a recomputed CRC: the identity parser (shared by .sphsnap,
+  // journal headers and .sphlib) must refuse it rather than hand it to a
+  // config. It sits 32 bytes into the payload, after dim, seed, threshold,
+  // bucket resolution and fallback charge.
+  for (const std::uint32_t mode : {1U, 7U}) {
     constexpr std::size_t header = 16;  // magic, version, payload length
     std::string bytes = original;
-    const std::uint32_t mode = 7;
     std::memcpy(bytes.data() + header + 32, &mode, sizeof mode);
     const std::uint32_t crc = crc32(bytes.data() + header, bytes.size() - header - 4);
     std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof crc);
     std::ofstream out(snap.path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     out.close();
-    EXPECT_THROW(read_snapshot_identity_file(snap.path), parse_error);
+    EXPECT_THROW(read_snapshot_identity_file(snap.path), parse_error) << "assign_mode " << mode;
   }
 
   // Config mismatch: a service with a different threshold must refuse.
@@ -243,48 +243,19 @@ TEST(Snapshot, CorruptionIsRejected) {
   }
 }
 
-TEST(Snapshot, BundleModeRoundTripsAndResumes) {
-  // bundle_representative state (per-cluster majority counters) is
-  // rebuilt from the records on import; resume must still be exact.
+TEST(Snapshot, RestoresLabelGaps) {
+  // import_state accepts labels that skip a value below next_local. Such
+  // a label has no member, and complete_linkage_select skips it: the
+  // restore must still publish every bucket, queries must answer what a
+  // push would, and resumed ingest must equal the same state resumed
+  // without the snapshot round trip.
   const auto stream = sample_stream();
   const std::size_t split = stream.size() / 2;
-  auto sc = make_serve_config(2);
-  sc.mode = core::assign_mode::bundle_representative;
-
-  clustering_service uninterrupted(sc);
-  ingest_in_batches(uninterrupted, stream, 0, stream.size());
-  const auto golden = canonical_state(uninterrupted.export_states());
-
-  temp_path snap("bundle");
-  {
-    clustering_service first_half(sc);
-    ingest_in_batches(first_half, stream, 0, split);
-    first_half.snapshot_file(snap.path);
-  }
-  clustering_service resumed(sc);
-  resumed.restore_file(snap.path);
-  ingest_in_batches(resumed, stream, split, stream.size());
-  EXPECT_EQ(canonical_state(resumed.export_states()), golden);
-
-  // A complete-linkage service must refuse a bundle-mode snapshot.
-  clustering_service wrong_mode(make_serve_config(2));
-  EXPECT_THROW(wrong_mode.restore_file(snap.path), parse_error);
-}
-
-TEST(Snapshot, BundleModeRestoresLabelGaps) {
-  // import_state accepts labels that skip a value below next_local. In
-  // bundle mode such a label has no representative: the restore must
-  // still publish every bucket, queries must answer what a push would,
-  // and resumed ingest must equal the same state resumed without the
-  // snapshot round trip.
-  const auto stream = sample_stream();
-  const std::size_t split = stream.size() / 2;
-  auto sc = make_serve_config(1);
-  sc.mode = core::assign_mode::bundle_representative;
+  const auto sc = make_serve_config(1);
   const std::vector<ms::spectrum> rest(stream.begin() + static_cast<std::ptrdiff_t>(split),
                                        stream.end());
 
-  temp_path snap("bundle_gap");
+  temp_path snap("label_gap");
   core::clusterer_state gapped;
   std::set<std::int64_t> gapped_keys;
   {
@@ -311,7 +282,7 @@ TEST(Snapshot, BundleModeRestoresLabelGaps) {
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const auto r = restored.query(stream[i]);
     if (!r.encodable) continue;
-    core::incremental_clusterer probe(sc.pipeline, sc.mode);
+    core::incremental_clusterer probe(sc.pipeline);
     probe.import_state(gapped);
     const auto report = probe.push(stream[i]);
     ASSERT_EQ(report.added, 1U) << "spectrum " << i;
@@ -323,7 +294,7 @@ TEST(Snapshot, BundleModeRestoresLabelGaps) {
   EXPECT_GT(joined_gapped, 0U);
 
   ingest_in_batches(restored, stream, split, stream.size());
-  core::incremental_clusterer reference(sc.pipeline, sc.mode);
+  core::incremental_clusterer reference(sc.pipeline);
   reference.import_state(gapped);
   reference.add_spectra(rest);
   EXPECT_EQ(canonical_state(restored.export_states()),

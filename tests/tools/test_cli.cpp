@@ -109,25 +109,28 @@ TEST(Cli, ServeRestoreUnknownAssignModeFailsWithDiagnostic) {
   ASSERT_EQ(serve.exit_code, 0) << serve.output;
 
   // assign_mode sits at file offset 48 (16-byte frame header, then 32
-  // bytes of identity); set it to 7 and recompute the payload CRC that
-  // closes the file, so only the identity check can refuse it.
-  std::string bytes;
+  // bytes of identity); set it to anything but 0 and recompute the payload
+  // CRC that closes the file, so only the identity check can refuse it.
+  std::string original;
   {
     std::ifstream in(snap, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    original.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
-  ASSERT_GT(bytes.size(), 56U);
-  const std::uint32_t mode = 7;
-  std::memcpy(bytes.data() + 48, &mode, sizeof mode);
-  const std::uint32_t crc = spechd::crc32(bytes.data() + 16, bytes.size() - 20);
-  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof crc);
-  std::ofstream(snap, std::ios::binary | std::ios::trunc)
-      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_GT(original.size(), 56U);
+  for (const std::uint32_t mode : {1U, 7U}) {
+    std::string bytes = original;
+    std::memcpy(bytes.data() + 48, &mode, sizeof mode);
+    const std::uint32_t crc = spechd::crc32(bytes.data() + 16, bytes.size() - 20);
+    std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof crc);
+    std::ofstream(snap, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 
-  const auto r = run_cli("serve --restore " + snap + " --query " + mgf);
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("cannot restore from"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("unknown assign_mode 7"), std::string::npos) << r.output;
+    const auto r = run_cli("serve --restore " + snap + " --query " + mgf);
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("cannot restore from"), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find("unknown assign_mode " + std::to_string(mode)), std::string::npos)
+        << r.output;
+  }
   std::remove(mgf.c_str());
   std::remove(snap.c_str());
 }

@@ -391,7 +391,6 @@ void apply_identity(serve::serve_config& config, const serve::snapshot_identity&
   config.pipeline.distance_threshold = id.distance_threshold;
   config.pipeline.preprocess.bucketing.resolution = id.bucket_resolution;
   config.pipeline.preprocess.bucketing.fallback_charge = id.fallback_charge;
-  config.mode = static_cast<core::assign_mode>(id.assign_mode);
 }
 
 /// The serve/recover query workload: per-query latency + match summary.
