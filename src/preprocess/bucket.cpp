@@ -1,18 +1,26 @@
 #include "preprocess/bucket.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "ms/spectrum.hpp"
 #include "util/error.hpp"
 
 namespace spechd::preprocess {
 
+std::int64_t floor_key(double value) noexcept {
+  constexpr double limit = 0x1p63;
+  const double key = std::floor(value);
+  if (key >= limit) return std::numeric_limits<std::int64_t>::max();
+  if (!(key >= -limit)) return std::numeric_limits<std::int64_t>::min();  // NaN too
+  return static_cast<std::int64_t>(key);
+}
+
 std::int64_t bucket_index(double precursor_mz, int charge,
                           const bucket_config& config) noexcept {
   const int c = charge > 0 ? charge : config.fallback_charge;
   // Eq. (1); 1.00794 is the hydrogen mass constant the paper uses.
-  const double value = (precursor_mz - ms::hydrogen_mass) * c / config.resolution;
-  return static_cast<std::int64_t>(std::floor(value));
+  return floor_key((precursor_mz - ms::hydrogen_mass) * c / config.resolution);
 }
 
 std::vector<bucket> bucket_spectra(const std::vector<quantized_spectrum>& spectra,

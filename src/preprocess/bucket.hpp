@@ -24,6 +24,12 @@ struct bucket_config {
   int fallback_charge = 2;
 };
 
+/// floor(value) as a bucket key, clamped into the int64 range by sign; NaN
+/// maps to the lowest key. Every mass-to-key conversion goes through it, so
+/// a non-finite or huge m/z read from a file or frame never reaches an
+/// out-of-range (undefined) float-to-int cast.
+std::int64_t floor_key(double value) noexcept;
+
 /// Eq. (1): the bucket index for one spectrum.
 std::int64_t bucket_index(double precursor_mz, int charge, const bucket_config& config) noexcept;
 

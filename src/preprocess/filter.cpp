@@ -6,6 +6,9 @@
 namespace spechd::preprocess {
 
 bool filter_spectrum(ms::spectrum& s, const filter_config& config) {
+  // A non-finite precursor (MGF PEPMASS, frame and mzML fields can carry
+  // NaN or inf) has no Eq. 1 bucket and no precursor windows.
+  if (!std::isfinite(s.precursor_mz)) return false;
   const float base = ms::base_peak_intensity(s);
   const float floor = static_cast<float>(base * config.min_intensity_fraction);
 
@@ -31,8 +34,9 @@ bool filter_spectrum(ms::spectrum& s, const filter_config& config) {
     return false;
   };
 
+  // Written so that a NaN m/z or intensity fails the test and is dropped.
   std::erase_if(s.peaks, [&](const ms::peak& p) {
-    return p.intensity < floor || p.mz < config.mz_min || p.mz > config.mz_max ||
+    return !(p.intensity >= floor) || !(p.mz >= config.mz_min && p.mz <= config.mz_max) ||
            is_precursor_related(p.mz);
   });
 

@@ -1,8 +1,6 @@
 #include "serve/search.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <numeric>
 #include <span>
 
@@ -76,17 +74,9 @@ key_window shifted_key_window(double precursor_mz, int charge, double tolerance_
   // on the same scale the keys live on.
   const int c = charge > 0 ? charge : config.fallback_charge;
   const double mass = (precursor_mz - ms::hydrogen_mass) * c;
-  // An edge past the int64 range clamps to it instead of overflowing the cast.
-  const auto key_at = [&config](double edge) {
-    constexpr double limit = 0x1p63;
-    const double key = std::floor(edge / config.resolution);
-    if (key >= limit) return std::numeric_limits<std::int64_t>::max();
-    if (key < -limit) return std::numeric_limits<std::int64_t>::min();
-    return static_cast<std::int64_t>(key);
-  };
   // Guard floating-point edge cases: the exact-match bucket is always in.
-  return {std::min(key_at(mass - tolerance_da), exact),
-          std::max(key_at(mass + tolerance_da), exact)};
+  return {std::min(preprocess::floor_key((mass - tolerance_da) / config.resolution), exact),
+          std::max(preprocess::floor_key((mass + tolerance_da) / config.resolution), exact)};
 }
 
 snapshot_identity library_identity(const core::spechd_config& config) {
@@ -94,12 +84,11 @@ snapshot_identity library_identity(const core::spechd_config& config) {
   id.dim = static_cast<std::uint32_t>(config.encoder.dim);
   id.encoder_seed = config.encoder.seed;
   // Clustering-only knobs stay zero: a library is valid for any service
-  // that *encodes and buckets* the same way, whatever its threshold,
-  // assignment mode, or shard count.
+  // that *encodes and buckets* the same way, whatever its threshold or
+  // shard count.
   id.distance_threshold = 0.0;
   id.bucket_resolution = config.preprocess.bucketing.resolution;
   id.fallback_charge = config.preprocess.bucketing.fallback_charge;
-  id.assign_mode = 0;
   id.shard_count = 0;
   id.config_digest = pipeline_digest(config);
   return id;

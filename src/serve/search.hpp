@@ -98,8 +98,8 @@ key_window shifted_key_window(double precursor_mz, int charge, double tolerance_
 
 /// The identity a spectral library pins: the encode/bucket-relevant subset
 /// of snapshot_identity, with clustering-only knobs (distance threshold,
-/// assign mode, shard count) zeroed so a library serves any service whose
-/// encoding matches, regardless of its clustering setup.
+/// shard count) zeroed so a library serves any service whose encoding
+/// matches, regardless of its clustering setup.
 snapshot_identity library_identity(const core::spechd_config& config);
 
 /// Immutable bucket-partitioned HV reference library. Build once (from

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "ms/spectrum.hpp"
 #include "util/error.hpp"
@@ -55,6 +56,27 @@ TEST(BucketIndex, MonotoneInPrecursorMz) {
     EXPECT_GE(b, prev);
     prev = b;
   }
+}
+
+TEST(BucketIndex, OutOfRangeMassesClampIntoTheKeyRange) {
+  // An MGF PEPMASS or an ingest frame can carry a huge or non-finite m/z.
+  // Its key clamps into the int64 range by sign instead of overflowing the
+  // cast, and NaN takes the lowest key.
+  constexpr auto lowest = std::numeric_limits<std::int64_t>::min();
+  constexpr auto highest = std::numeric_limits<std::int64_t>::max();
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  bucket_config c;
+  c.resolution = 1.0;
+  EXPECT_EQ(bucket_index(1e300, 2, c), highest);
+  EXPECT_EQ(bucket_index(inf, 2, c), highest);
+  EXPECT_EQ(bucket_index(-1e300, 2, c), lowest);
+  EXPECT_EQ(bucket_index(-inf, 2, c), lowest);
+  EXPECT_EQ(bucket_index(std::nan(""), 2, c), lowest);
+  // At charge 1 the key is the mass itself: 2^63 is the first value past
+  // the range, while -2^63 and 2^62 are keys.
+  EXPECT_EQ(bucket_index(0x1p63, 1, c), highest);
+  EXPECT_EQ(bucket_index(-0x1p63, 1, c), lowest);
+  EXPECT_EQ(bucket_index(0x1p62, 1, c), std::int64_t{1} << 62);
 }
 
 TEST(BucketSpectra, GroupsSameKeyTogether) {

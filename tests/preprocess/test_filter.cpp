@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 namespace spechd::preprocess {
 namespace {
 
@@ -99,6 +102,26 @@ TEST(Filter, UnknownChargeStillFiltersPrecursorWindow) {
   ms::sort_peaks(s);
   ASSERT_TRUE(filter_spectrum(s, lenient()));
   for (const auto& p : s.peaks) EXPECT_GT(std::abs(p.mz - 500.0), 1.0);
+}
+
+TEST(Filter, NonFinitePrecursorOrPeakIsDropped) {
+  // A non-finite precursor has no Eq. 1 bucket: the spectrum is dropped.
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  for (const double mz : {std::nan(""), inf, -inf}) {
+    auto s = base_spectrum();
+    s.precursor_mz = mz;
+    EXPECT_FALSE(filter_spectrum(s, lenient())) << "precursor " << mz;
+  }
+  // A NaN m/z or intensity fails every peak test, so the peak goes.
+  auto s = base_spectrum();
+  s.peaks.push_back({std::nan(""), 100.0F});
+  s.peaks.push_back({700.5, std::nanf("")});
+  ASSERT_TRUE(filter_spectrum(s, lenient()));
+  EXPECT_EQ(s.peaks.size(), 10U);
+  for (const auto& p : s.peaks) {
+    EXPECT_TRUE(std::isfinite(p.mz));
+    EXPECT_TRUE(std::isfinite(p.intensity));
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -193,6 +194,38 @@ TEST(ClusteringService, CompleteLinkageQueryAgreesWithAssignment) {
   }
   EXPECT_GT(matched, 0U);
   EXPECT_GT(unmatched, 0U);
+}
+
+TEST(ClusteringService, NonFinitePrecursorsAreDroppedAndUnencodable) {
+  // An MGF PEPMASS or an ingest frame can carry NaN or inf. Such a
+  // spectrum has no Eq. 1 bucket: ingest drops it, and query and search
+  // report it unencodable.
+  const auto good = sample_stream(1, 3).front();
+  auto nan_copy = good;
+  nan_copy.precursor_mz = std::numeric_limits<double>::quiet_NaN();
+  auto inf_copy = good;
+  inf_copy.precursor_mz = std::numeric_limits<double>::infinity();
+
+  serve_config sc;
+  sc.pipeline = small_config();
+  sc.shards = 2;
+  clustering_service service(sc);
+  service.ingest({good, nan_copy, inf_copy});
+  service.drain();
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.dropped, 2U);
+  EXPECT_EQ(stats.record_count, 1U);
+  EXPECT_TRUE(service.query(good).encodable);
+  EXPECT_FALSE(service.query(nan_copy).encodable);
+
+  const auto library = (std::filesystem::temp_directory_path() /
+                        ("spechd_test_nonfinite_" + std::to_string(::getpid()) + ".sphlib"))
+                           .string();
+  spectral_library::from_spectra({good}, sc.pipeline).save(library);
+  service.load_library(library);
+  std::filesystem::remove(library);
+  EXPECT_TRUE(service.search(good, 4, 1.0).encodable);
+  EXPECT_FALSE(service.search(nan_copy, 4, 1.0).encodable);
 }
 
 TEST(ClusteringService, QueryAgainstEmptyServiceIsClean) {
