@@ -230,10 +230,10 @@ inline constexpr std::size_t encode_register_planes = 9;
 /// bound vectors peaks[p].id ^ peaks[p].level: bit d is set when more than
 /// n/2 of them set it, and when n is even and exactly n/2 do, it takes the
 /// tie_bits bit (n == 0 yields tie_bits). The scalar variant is the
-/// plane-major reference — one ripple-carry pass per peak. The SIMD variants keep each 4- or 8-word
-/// group's bit_width(n) counter planes in registers, add the peaks' bound
-/// slices into them four at a time (full adders, then a carry ripple), and
-/// threshold and store the group once.
+/// plane-major reference — one ripple-carry pass per peak. The SIMD
+/// variants keep each 4- or 8-word group's bit_width(n) counter planes in
+/// registers, add the peaks' bound slices into them four at a time (full
+/// adders, then a carry ripple), and threshold and store the group once.
 void encode_majority(const bind_rows* peaks, std::size_t n, std::size_t words,
                      const std::uint64_t* tie_bits, std::uint64_t* out);
 
