@@ -1,8 +1,8 @@
 // Golden bytes for every persisted format: the .sphsnap snapshot of a
-// 2-shard service, the .sphlib library, the .sphv
-// store, the journal file header, pipeline_digest and canonical_state
-// (with and without scan counters), all from fixed inputs. A change to
-// any writer or to the encoder shows up here as a changed length or CRC.
+// 2-shard service, the .sphlib library, the .sphv store, the journal file
+// header, pipeline_digest and canonical_state (with and without scan
+// counters), all from fixed inputs. A change to any writer or to the
+// encoder shows up here as a changed length or CRC.
 //
 // A file that ends with the CRC-32 of its payload has the same whole-file
 // CRC-32 for every payload of its length, so a framed file is pinned by
