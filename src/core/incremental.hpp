@@ -211,11 +211,10 @@ public:
   std::size_t bucket_count() const noexcept { return buckets_.size(); }
 
   /// Buckets touched by ingestion since their last recluster — what a
-  /// rebuild_dirty_buckets() call would visit. The serve layer's
-  /// maintenance scheduler polls this (via the published view) to decide
-  /// whether an idle shard needs a background recluster, and its journal
-  /// replays recluster records against states whose dirty flags are
-  /// identical — so the count is part of the deterministic-replay surface.
+  /// rebuild_dirty_buckets() call would visit. A serve shard's recluster
+  /// job skips its journal record when this is 0, and replay runs
+  /// recluster records against states whose dirty flags are identical —
+  /// so the count is part of the deterministic-replay surface.
   std::size_t dirty_bucket_count() const noexcept;
 
 private:

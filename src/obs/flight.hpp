@@ -4,7 +4,7 @@
 // recorder answers "what happened, in what order, right before things
 // went wrong". Every layer of the serving path emits small structured
 // events — ingest batches, view publishes, journal appends/fsyncs,
-// health transitions, shed decisions, maintenance/heal actions,
+// health transitions, shed decisions, maintenance reclusters,
 // connection open/close/reap, watchdog verdicts — into a process-wide,
 // fixed-size, lock-free ring:
 //
@@ -57,8 +57,8 @@ enum class event_kind : std::uint8_t {
   journal_fsync = 4,      ///< arg0 = records synced, arg1 = generation
   health_transition = 5,  ///< arg0 = new health, arg1 = shard
   shed_decision = 6,      ///< arg0 = queue depth at shed, request id set
-  maintenance_action = 7, ///< arg0 = reclusters run, arg1 = deferred flag
-  heal_action = 8,        ///< arg0 = shards healed, arg1 = attempt
+  maintenance_action = 7, ///< arg0 = reclusters run (1), arg1 = 0
+  heal_action = 8,        ///< kept for the dump format; nothing records it
   conn_open = 9,          ///< arg0 = fd, arg1 = open connections
   conn_close = 10,        ///< arg0 = fd, arg1 = open connections
   conn_reap = 11,         ///< arg0 = fd, arg1 = idle ms

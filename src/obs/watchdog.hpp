@@ -1,10 +1,10 @@
 // Liveness watchdog for the serving tier.
 //
-// Every long-lived loop in the process — each shard's writer thread, the
-// epoll loop, the maintenance scheduler — registers a named component and
-// pulses its heartbeat once per iteration (one clock read + one relaxed
-// store). A single watchdog thread polls the slots and flags any
-// component silent past a configurable deadline:
+// Every long-lived loop in the process — each shard's writer thread and
+// the epoll loop — registers a named component and pulses its heartbeat
+// once per iteration (one clock read + one relaxed store). A single
+// watchdog thread polls the slots and flags any component silent past a
+// configurable deadline:
 //
 //   component.pulse() ──relaxed store──▶ slot.last_beat_ns
 //                                           │ watchdog thread, every poll

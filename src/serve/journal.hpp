@@ -91,11 +91,6 @@ struct journal_config {
   /// `false` skips fsync entirely (page-cache durability only — survives
   /// process crashes, not power loss; useful for tests and benches).
   bool fsync = true;
-  /// Compaction thresholds (checked by the maintenance scheduler and
-  /// maybe_compact_journal): rotate once any shard's journal exceeds
-  /// either bound. 0 disables that bound.
-  std::uint64_t compact_max_bytes = 64ULL << 20;
-  std::uint64_t compact_max_records = 0;
 };
 
 /// Fixed per-file header: which shard/generation this journal belongs to
@@ -204,8 +199,8 @@ struct journal_head {
 };
 
 /// Single-owner append handle for one shard's journal. All appends happen
-/// on the shard's writer thread; `bytes()`/`records()` are atomic so the
-/// maintenance thread can watch compaction thresholds concurrently.
+/// on the shard's writer thread; `bytes()`/`records()` are atomic so
+/// stats() can read them from any thread concurrently.
 class journal_writer {
 public:
   /// Opens (or creates) the file per `head`, writing/validating the

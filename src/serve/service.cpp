@@ -44,57 +44,12 @@ clustering_service::clustering_service(serve_config config)
   static auto& item_memory_bytes =
       obs::registry::instance().gauge("spechd_item_memory_bytes");
   item_memory_bytes.set(static_cast<std::int64_t>(hdc::shared_item_memory_bytes()));
-  if (config_.maintenance.enabled) {
-    maintenance_scheduler::hooks hooks;
-    hooks.run_maintenance = [this] {
-      std::size_t accepted = 0;
-      for (auto& s : shards_) accepted += s->maintain(/*only_if_idle=*/true) ? 1 : 0;
-      return accepted;
-    };
-    hooks.maybe_compact = [this] { return maybe_compact_journal(); };
-    // Load-aware deferral: the scheduler differentiates the service-wide
-    // ingest counter into its EWMA (see maintenance.hpp).
-    hooks.ingest_records = [] {
-      static auto& records =
-          obs::registry::instance().counter("spechd_ingest_records_total");
-      return records.value();
-    };
-    if (journaled()) {
-      // Auto-heal (journaled services only — compaction *is* the heal, so
-      // an unjournaled degraded shard has no automated path back): poll
-      // for degraded shards, compact when one appears, let the scheduler
-      // pace retries with exponential backoff while the I/O fault lasts.
-      hooks.degraded_shards = [this] { return count_degraded(); };
-      hooks.heal = [this] {
-        const auto before = count_degraded();
-        if (before == 0) return std::size_t{0};
-        compact_journal();  // throws while the condition persists
-        return before - count_degraded();
-      };
-    }
-    maintenance_ =
-        std::make_unique<maintenance_scheduler>(config_.maintenance, std::move(hooks));
-  }
-}
-
-std::size_t clustering_service::count_degraded() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) {
-    n += s->health() == shard_health::degraded ? 1 : 0;
-  }
-  return n;
 }
 
 std::size_t clustering_service::queue_depth() const {
   std::size_t depth = 0;
   for (const auto& s : shards_) depth += s->queue_depth();
   return depth;
-}
-
-std::optional<maintenance_scheduler::counters> clustering_service::maintenance_stats()
-    const {
-  if (!maintenance_) return std::nullopt;
-  return maintenance_->stats();
 }
 
 void clustering_service::attach_journal_dir() {
@@ -203,27 +158,9 @@ void clustering_service::compact_journal_locked() {
   for (auto& s : shards_) s->heal_degraded();
 }
 
-bool clustering_service::maybe_compact_journal() {
-  if (!journaled()) return false;
-  const auto& journal = config_.journal;
-  bool exceeded = false;
-  for (const auto& s : shards_) {
-    if (journal.compact_max_bytes != 0 && s->journal_bytes() > journal.compact_max_bytes) {
-      exceeded = true;
-    }
-    if (journal.compact_max_records != 0 &&
-        s->journal_records() > journal.compact_max_records) {
-      exceeded = true;
-    }
-  }
-  if (!exceeded) return false;
-  compact_journal();
-  return true;
-}
-
 std::size_t clustering_service::run_maintenance_now() {
   std::size_t accepted = 0;
-  for (auto& s : shards_) accepted += s->maintain(/*only_if_idle=*/false) ? 1 : 0;
+  for (auto& s : shards_) accepted += s->maintain() ? 1 : 0;
   drain();  // maintenance jobs run in queue order; drain waits them out
   return accepted;
 }
@@ -505,8 +442,8 @@ void clustering_service::restore_file(const std::string& path) {
 
   drain();
   // compact_mutex_ spans the imports *and* the rebase compaction: a
-  // threshold compaction racing in from the maintenance thread mid-loop
-  // would otherwise persist a half-restored cross-shard base snapshot.
+  // compact_journal() racing in from another thread mid-loop would
+  // otherwise persist a half-restored cross-shard base snapshot.
   std::lock_guard lock(compact_mutex_);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->run_exclusive(

@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,7 +29,6 @@
 #include "core/incremental.hpp"
 #include "hdc/encoder.hpp"
 #include "serve/journal.hpp"
-#include "serve/maintenance.hpp"
 #include "serve/recovery.hpp"
 #include "serve/search.hpp"
 #include "serve/shard.hpp"
@@ -52,8 +50,6 @@ struct serve_config {
   /// (newest snapshot + journal replay, truncating a torn tail) before
   /// accepting ingests — see recovery() for what it found.
   journal_config journal;
-  /// Background maintenance (idle-shard reclusters + journal compaction).
-  maintenance_config maintenance;
   /// Cross-shard atomic ingest (journaled services only): a batch whose
   /// spectra span multiple shards is journaled as one transaction — each
   /// shard's slice tagged with a txn id, sealed by a commit record on the
@@ -149,9 +145,6 @@ public:
   /// control signal the network tier sheds on. Much cheaper than stats().
   std::size_t queue_depth() const;
 
-  /// Background-scheduler counters (nullopt when maintenance is disabled).
-  std::optional<maintenance_scheduler::counters> maintenance_stats() const;
-
   /// Drains, then writes the complete service state to `path` (.sphsnap).
   void snapshot_file(const std::string& path);
 
@@ -188,14 +181,9 @@ public:
   /// applied state, so the dropped batch is fully reconciled.
   void compact_journal();
 
-  /// compact_journal() iff any shard's journal exceeds the configured
-  /// size/record thresholds; returns true when a compaction ran.
-  bool maybe_compact_journal();
-
-  /// Deterministic maintenance trigger (what the background scheduler
-  /// does on its own when enabled): asks every shard to recluster its
-  /// dirty buckets — journaled, on the writer thread — and waits for
-  /// completion. Returns how many shards accepted a recluster job.
+  /// Maintenance trigger: asks every shard to recluster its dirty buckets
+  /// — journaled, on the writer thread — and waits for completion.
+  /// Returns how many shards accepted a recluster job.
   std::size_t run_maintenance_now();
 
   // --- whole-state accessors (drain first; used by tests, CLI, bench) ----
@@ -213,7 +201,6 @@ public:
 private:
   void attach_journal_dir();
   void compact_journal_locked();  ///< body of compact_journal; needs compact_mutex_
-  std::size_t count_degraded() const;  ///< shards currently degraded
   journal_file_header shard_journal_header(std::size_t shard, std::uint64_t generation) const;
 
   /// Enqueues a multi-shard batch as one atomic transaction (atomic_ingest
@@ -240,9 +227,6 @@ private:
   /// compact_mutex_ (only compaction/restore mutate it after construction).
   std::uint64_t generation_ = 0;
   std::mutex compact_mutex_;
-  /// Last member: the scheduler thread must stop before shards_ tears
-  /// down (see ~clustering_service), and start after everything it uses.
-  std::unique_ptr<maintenance_scheduler> maintenance_;
 };
 
 }  // namespace spechd::serve

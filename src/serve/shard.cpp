@@ -405,22 +405,16 @@ void shard::drain() {
   }
 }
 
-bool shard::maintain(bool only_if_idle) {
-  if (only_if_idle) {
-    if (queue_.size() != 0) return false;
-    if (view_.load()->dirty_buckets == 0) return false;
-  }
-  auto job = [this] {
-    // Re-check on the writer thread: a drain/recluster may have raced the
-    // poll. Skipping writes no journal record, so replay stays exact.
+bool shard::maintain() {
+  return queue_.push([this] {
+    // Checked on the writer thread, at this job's stream position: with
+    // nothing dirty no journal record is written, so replay stays exact.
     if (clusterer_.dirty_bucket_count() == 0) return;
     if (journal_) journal_->append_recluster();
     clusterer_.rebuild_dirty_buckets();
-    obs::record_event(obs::event_kind::maintenance_action, /*reclusters=*/1,
-                      /*deferred=*/0);
+    obs::record_event(obs::event_kind::maintenance_action, /*reclusters=*/1, 0);
     publish(nullptr);
-  };
-  return only_if_idle ? queue_.try_push(std::move(job)) : queue_.push(std::move(job));
+  });
 }
 
 core::clusterer_state shard::export_and_rotate_journal(const journal_head& head,

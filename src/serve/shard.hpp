@@ -46,8 +46,8 @@ struct shard_view {
   std::map<std::int64_t, std::shared_ptr<const core::bucket_rows>> buckets;
   std::size_t record_count = 0;
   std::size_t cluster_count = 0;
-  /// Buckets awaiting a recluster (ingestion marked them dirty); the
-  /// maintenance scheduler polls this to find shards worth reclustering.
+  /// Buckets awaiting a recluster (ingestion marked them dirty, and
+  /// clustering_service::run_maintenance_now() clears them).
   std::size_t dirty_buckets = 0;
   std::uint64_t epoch = 0;  ///< strictly increasing per publish
 };
@@ -206,16 +206,12 @@ public:
     return journal_ ? journal_->generation() : 0;
   }
 
-  /// Maintenance recluster: runs rebuild_dirty_buckets on the writer
-  /// thread (journaled as a recluster record first, so recovery replays
-  /// it at the same stream position) and republishes all views. With
-  /// `only_if_idle` the job is skipped — returning false — unless the
-  /// ingest queue is empty and the published view shows dirty buckets
-  /// (the scheduler's cheap poll); without it the job is enqueued
-  /// unconditionally (deterministic trigger for tests/CLI). Either way
-  /// the job itself re-checks dirtiness on the writer thread and becomes
-  /// a no-op (no journal record) when nothing is dirty by then.
-  bool maintain(bool only_if_idle);
+  /// Maintenance recluster: enqueues a job that runs rebuild_dirty_buckets
+  /// on the writer thread (journaled as a recluster record first, so
+  /// recovery replays it at the same stream position) and republishes all
+  /// views. The job is a no-op (no journal record) when nothing is dirty
+  /// by then. Returns false once shutdown began.
+  bool maintain();
 
   /// Compaction step: on the writer thread, exports the clusterer state
   /// and atomically rotates the journal to `head`/`header` — so the new

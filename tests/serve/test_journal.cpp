@@ -1,5 +1,5 @@
 // Durability subsystem: journal framing, torn-tail tolerance, compaction
-// rotation, background maintenance, and the golden recovery guarantee —
+// rotation, maintenance reclusters, and the golden recovery guarantee —
 // snapshot + journal replay (including a torn final record and a
 // journaled maintenance recluster) is bit-identical to the uninterrupted
 // run, at shard/thread counts {1, 4}.
@@ -11,7 +11,6 @@
 #include <fstream>
 #include <iterator>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/incremental.hpp"
@@ -661,27 +660,6 @@ TEST(JournalCompaction, RotatesGenerationsAndStaysRecoverable) {
   EXPECT_EQ(canonical_state(recovered.export_states()), golden);
 }
 
-TEST(JournalCompaction, ThresholdDrivenCompactionTriggers) {
-  const auto stream = sample_stream();
-  temp_dir dir("threshold");
-  auto sc = make_serve_config(2);
-  sc.journal.dir = dir.path;
-  sc.journal.fsync = false;
-  sc.journal.compact_max_records = 2;  // tiny: force a rotation
-  clustering_service service(sc);
-  EXPECT_FALSE(service.maybe_compact_journal());  // nothing written yet
-  ingest_in_batches(service, stream, 0, stream.size());
-  service.drain();
-  EXPECT_TRUE(service.maybe_compact_journal());
-  EXPECT_FALSE(service.maybe_compact_journal());  // fresh journals are empty
-  const auto state = scan_journal_dir(dir.path);
-  ASSERT_TRUE(state.snapshot_generation.has_value());
-
-  clustering_service recovered(sc);
-  EXPECT_EQ(canonical_state(recovered.export_states()),
-            canonical_state(service.export_states()));
-}
-
 TEST(JournalCompaction, CrashBetweenRotationAndSnapshotStillRecovers) {
   // The compaction protocol's crash window: journals already rotated to
   // generation g+1 but the g+1 snapshot never became durable. Recovery
@@ -891,6 +869,44 @@ TEST(JournalFaults, AppendErrorDegradesShardAndCompactionHeals) {
   EXPECT_EQ(canonical_state(recovered.export_states()), live);
 }
 
+TEST(JournalFaults, FailedCompactionLeavesShardDegradedUntilARetryCompletes) {
+  // Compaction is what heals a degraded shard, so a compaction that fails
+  // must not: the shard stays read-only until a retry completes.
+  failpoint_guard guard;
+  const auto stream = sample_stream();
+  const std::size_t split = stream.size() / 2;
+  temp_dir dir("compactretry");
+  auto sc = make_serve_config(1);
+  sc.journal.dir = dir.path;
+  sc.journal.fsync = false;
+  std::string live;
+  {
+    clustering_service service(sc);
+    ingest_in_batches(service, stream, 0, split);
+    service.drain();
+    util::registry().arm_from_spec("journal.append.write=error:EIO@times1");
+    service.ingest({stream.begin() + static_cast<std::ptrdiff_t>(split), stream.end()});
+    EXPECT_THROW(service.drain(), io_error);
+    EXPECT_EQ(service.stats().degraded_shards, 1U);
+
+    util::registry().arm_from_spec("snapshot.rename=error:EIO@times1");
+    EXPECT_THROW(service.compact_journal(), spechd::error);
+    EXPECT_EQ(util::registry().stats("snapshot.rename").fires, 1U);
+    EXPECT_EQ(service.stats().degraded_shards, 1U);
+    EXPECT_THROW(service.ingest({stream.begin(), stream.begin() + 1}), spechd::error);
+
+    // The retry completes and heals; the dropped half then ingests.
+    service.compact_journal();
+    EXPECT_EQ(service.stats().degraded_shards, 0U);
+    service.ingest({stream.begin() + static_cast<std::ptrdiff_t>(split), stream.end()});
+    service.drain();
+    EXPECT_EQ(service.stats().record_count, stream.size());
+    live = canonical_state(service.export_states());
+  }
+  clustering_service recovered(sc);
+  EXPECT_EQ(canonical_state(recovered.export_states()), live);
+}
+
 TEST(JournalFaults, SnapshotPathFailuresLeaveDirectoryRecoverable) {
   // Disk-full/EIO at every step of the compaction snapshot protocol
   // (tmp open/write, tmp fsync, rename, directory fsync): the previous
@@ -1075,40 +1091,7 @@ TEST(JournalFaults, TornTransactionRecordsDropTheTransactionEverywhere) {
   EXPECT_EQ(canonical_state(recovered.export_states()), full);
 }
 
-// --- maintenance scheduler ---------------------------------------------------
-
-TEST(Maintenance, BackgroundSchedulerReclustersIdleShardsAndStaysRecoverable) {
-  const auto stream = sample_stream();
-  temp_dir dir("sched");
-  auto sc = make_serve_config(2);
-  sc.journal.dir = dir.path;
-  sc.journal.fsync = false;
-  sc.maintenance.enabled = true;
-  sc.maintenance.interval = std::chrono::milliseconds(5);
-
-  std::string live;
-  {
-    clustering_service service(sc);
-    ingest_in_batches(service, stream, 0, stream.size());
-    service.drain();
-    // The scheduler runs every 5 ms; ingestion marked buckets dirty, so
-    // reclusters must land shortly.
-    for (int spin = 0; spin < 400 && service.stats().dirty_buckets != 0; ++spin) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    EXPECT_EQ(service.stats().dirty_buckets, 0U);
-    live = canonical_state(service.export_states());
-  }
-
-  // However the scheduler interleaved reclusters with ingestion, the
-  // journal recorded them at their true stream positions: recovery lands
-  // on the same bytes.
-  auto quiet = sc;
-  quiet.maintenance.enabled = false;  // recovery only; no new reclusters
-  clustering_service recovered(quiet);
-  EXPECT_GT(recovered.recovery().reclusters_replayed, 0U);
-  EXPECT_EQ(canonical_state(recovered.export_states()), live);
-}
+// --- maintenance -------------------------------------------------------------
 
 TEST(Maintenance, RunMaintenanceNowMatchesRebuildDirtyBuckets) {
   // The deterministic trigger equals a reference clusterer doing

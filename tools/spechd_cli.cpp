@@ -978,17 +978,12 @@ int cmd_serve(arg_list& args) {
       // Final observability summary — the last line an operator sees on
       // SIGTERM answers "what did this process do with its life".
       const auto snap = obs::registry::instance().snapshot();
-      std::uint64_t heal_attempts = 0;
-      if (const auto maint = service.maintenance_stats()) {
-        heal_attempts = maint->heal_attempts;
-      }
       std::cout << "final metrics: " << counters.requests << " requests served, "
                 << counter_or_zero(snap, "spechd_ingest_records_total")
                 << " records ingested, "
                 << counter_or_zero(snap, "spechd_query_requests_total") << " queries, "
                 << counter_or_zero(snap, "spechd_search_requests_total")
-                << " searches, " << counters.shed << " shed, " << heal_attempts
-                << " heal attempts, "
+                << " searches, " << counters.shed << " shed, "
                 << counter_or_zero(snap, "spechd_journal_fsyncs_total")
                 << " journal fsyncs\n";
     } catch (const spechd::error& e) {
