@@ -182,8 +182,10 @@ public:
   void compact_journal();
 
   /// Maintenance trigger: asks every shard to recluster its dirty buckets
-  /// — journaled, on the writer thread — and waits for completion.
-  /// Returns how many shards accepted a recluster job.
+  /// — journaled, on the writer thread — and waits for completion, then
+  /// rethrows the first error (a failed recluster record is rolled back,
+  /// so the buckets stay dirty and a later call retries). Returns how
+  /// many shards accepted a recluster job.
   std::size_t run_maintenance_now();
 
   // --- whole-state accessors (drain first; used by tests, CLI, bench) ----

@@ -410,7 +410,26 @@ bool shard::maintain() {
     // Checked on the writer thread, at this job's stream position: with
     // nothing dirty no journal record is written, so replay stays exact.
     if (clusterer_.dirty_bucket_count() == 0) return;
-    if (journal_) journal_->append_recluster();
+    if (journal_) {
+      const std::uint64_t journal_mark = journal_->bytes();
+      try {
+        journal_->append_recluster();
+      } catch (...) {
+        // The append may have failed *after* the frame landed (group-
+        // commit fsync error): the recluster will not run, so its record
+        // must go too, or recovery would replay a recluster this run
+        // never did. The buckets stay dirty and the error surfaces on
+        // drain(), so a later maintain() retries.
+        try {
+          journal_->rollback_to(journal_mark);
+        } catch (...) {
+          set_health(shard_health::failed,
+                     "journal rollback failed after a failed recluster append; the "
+                     "journal may hold records this shard never applied");
+        }
+        throw;
+      }
+    }
     clusterer_.rebuild_dirty_buckets();
     obs::record_event(obs::event_kind::maintenance_action, /*reclusters=*/1, 0);
     publish(nullptr);

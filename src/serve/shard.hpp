@@ -210,7 +210,9 @@ public:
   /// on the writer thread (journaled as a recluster record first, so
   /// recovery replays it at the same stream position) and republishes all
   /// views. The job is a no-op (no journal record) when nothing is dirty
-  /// by then. Returns false once shutdown began.
+  /// by then. A failed append is rolled back and leaves the buckets dirty;
+  /// its error is rethrown by the next drain(). Returns false once
+  /// shutdown began.
   bool maintain();
 
   /// Compaction step: on the writer thread, exports the clusterer state

@@ -907,6 +907,44 @@ TEST(JournalFaults, FailedCompactionLeavesShardDegradedUntilARetryCompletes) {
   EXPECT_EQ(canonical_state(recovered.export_states()), live);
 }
 
+TEST(JournalFaults, FailedReclusterFsyncLeavesNoRecord) {
+  // A recluster record whose group-commit fsync fails has already landed,
+  // but the recluster never runs: the record must be rolled back, or
+  // recovery would replay a recluster the live run never did. The shard
+  // stays healthy (its journal matches its applied state again) and its
+  // buckets stay dirty for a later run_maintenance_now() to retry.
+  failpoint_guard guard;
+  const auto stream = sample_stream();
+  temp_dir dir("reclusterfsync");
+  auto sc = make_serve_config(1);
+  sc.journal.dir = dir.path;
+  sc.journal.fsync = true;
+  sc.journal.group_commit_records = 1;  // every append fsyncs
+  std::string live;
+  {
+    clustering_service service(sc);
+    ingest_in_batches(service, stream, 0, stream.size());
+    service.drain();
+    const auto before = service.stats();
+    ASSERT_GT(before.dirty_buckets, 0U);
+
+    util::registry().arm_from_spec("journal.fsync=error:EIO@times1");
+    EXPECT_THROW(service.run_maintenance_now(), io_error);
+    EXPECT_EQ(util::registry().stats("journal.fsync").fires, 1U);
+    const auto after = service.stats();
+    EXPECT_EQ(after.dirty_buckets, before.dirty_buckets);
+    EXPECT_EQ(after.journal_records, before.journal_records);
+    EXPECT_EQ(after.journal_bytes, before.journal_bytes);
+    EXPECT_EQ(after.degraded_shards, 0U);
+    EXPECT_EQ(after.failed_shards, 0U);
+    live = canonical_state(service.export_states());
+  }
+  clustering_service recovered(sc);
+  EXPECT_TRUE(recovered.recovery().recovered);
+  EXPECT_EQ(recovered.recovery().reclusters_replayed, 0U);
+  EXPECT_EQ(canonical_state(recovered.export_states()), live);
+}
+
 TEST(JournalFaults, SnapshotPathFailuresLeaveDirectoryRecoverable) {
   // Disk-full/EIO at every step of the compaction snapshot protocol
   // (tmp open/write, tmp fsync, rename, directory fsync): the previous
